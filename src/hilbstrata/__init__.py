@@ -1,10 +1,12 @@
 """Exact E-polynomials of generator-count strata of punctual Hilbert schemes.
 
-Two independent pipelines compute the same tables: closed-form q-series
-expansion, and torus fixed-point enumeration followed by triangular
-matrix inversion over the Laurent polynomial ring.  Everything is exact
-integer arithmetic; the verification suite checks the pipelines against
-each other and against the known small tables.
+Two pipelines compute the same tables: closed-form q-series expansion,
+and torus fixed-point enumeration followed by triangular matrix
+inversion over the Laurent polynomial ring.  They share the Laurent
+arithmetic and the q-series factor steps under them.  Everything is
+exact integer arithmetic; the verification suite checks the pipelines
+against each other, against the fixed-point sums and the partition
+census, and against the known small tables.
 """
 
 from .laurent import (

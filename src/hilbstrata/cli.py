@@ -16,10 +16,9 @@ import json
 import os
 import sys
 
-from . import qseries, strata
+from . import strata
 from .cache import SeriesCache
-from .diagrams import mu_max
-from .tables import FORMATS, TABLE_KINDS, RunConfig, build_table, render
+from .tables import FORMATS, TABLE_KINDS, RunConfig, build_table, render, table_columns
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,6 +75,8 @@ def cmd_verify(args, parser) -> int:
         fp_r = args.max_r
     if order < 0:
         parser.error("--max-n must be >= 0")
+    if fp_r < 1:
+        parser.error("--max-r must be >= 1")
     if args.cache_dir:
         _revalidate_cache(SeriesCache(args.cache_dir), order, fp_r)
     report = strata.verify_all(
@@ -89,15 +90,12 @@ def cmd_verify(args, parser) -> int:
 
 
 def _revalidate_cache(cache: SeriesCache, order: int, max_r: int) -> None:
-    """Screen the cached series the table command relies on; repairs are
-    logged by the cache itself."""
-    cache.get("epoly_Y0", {}, order, qseries.series_Y0)
-    for r in range(1, max_r + 1):
-        cache.get("epoly_nested", {"r": r}, order,
-                  lambda k, r=r: qseries.series_Hnnr(r, k))
-    for m in range(1, mu_max(order) + 1):
-        cache.get("epoly_B_stratum", {"m": m}, order,
-                  lambda k, m=m: strata.closed_form_B(m, k))
+    """Screen every cached series a table at this order can read; repairs
+    are logged by the cache itself."""
+    config = RunConfig(max_n=order, max_r=max_r)
+    for kind in TABLE_KINDS:
+        for _, name, params, builder in table_columns(kind, config):
+            cache.get(name, params, order, builder)
 
 
 def main(argv=None) -> int:

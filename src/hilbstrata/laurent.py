@@ -158,6 +158,24 @@ class LaurentPoly:
             n >>= 1
         return result
 
+    def add_shifted(self, other: LaurentPoly, k: int, sign: int = 1) -> LaurentPoly:
+        """self + sign * t^k * other, fused into one pass over other's terms.
+
+        The q-series factor steps run on this: it builds one term map where
+        the unfused form builds three (the shift, the sign, the sum).
+        """
+        if not other._terms or not sign:
+            return self
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            e += k
+            s = out.get(e, 0) + sign * c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _raw(out)
+
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the monomial t^k."""
         if not k:

@@ -73,12 +73,23 @@ class QSeries:
         return QSeries([c * poly for c in self.coeffs])
 
     def __add__(self, other: QSeries) -> QSeries:
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        """Termwise sum; both operands must have the same order."""
+        self._check_same_order(other, "+")
+        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: QSeries) -> QSeries:
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        """Termwise difference; both operands must have the same order."""
+        self._check_same_order(other, "-")
+        return QSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def _check_same_order(self, other: QSeries, op: str) -> None:
+        # A sum is known only up to the smaller order; returning it would
+        # drop the larger operand's top coefficients without a word.
+        if self.order != other.order:
+            raise ValueError(
+                f"series orders differ ({self.order} {op} {other.order}); "
+                f"truncate one operand first"
+            )
 
     def __mul__(self, other: QSeries) -> QSeries:
         """Cauchy product truncated at the smaller order."""
@@ -118,20 +129,18 @@ class QSeries:
         """Multiply by the single factor (1 - t^{t_exp} q^{q_exp}), q_exp >= 1."""
         if q_exp < 1:
             raise ValueError("q_exp must be positive")
-        mono = LaurentPoly.t_power(t_exp)
         out = list(self.coeffs)
         for n in range(self.order, q_exp - 1, -1):
-            out[n] = out[n] - mono * out[n - q_exp]
+            out[n] = out[n].add_shifted(out[n - q_exp], t_exp, -1)
         return QSeries(out)
 
     def div_one_minus(self, t_exp: int, q_exp: int) -> QSeries:
         """Multiply by 1/(1 - t^{t_exp} q^{q_exp}) via the geometric recurrence."""
         if q_exp < 1:
             raise ValueError("q_exp must be positive")
-        mono = LaurentPoly.t_power(t_exp)
         out = list(self.coeffs)
         for n in range(q_exp, self.order + 1):
-            out[n] = out[n] + mono * out[n - q_exp]
+            out[n] = out[n].add_shifted(out[n - q_exp], t_exp)
         return QSeries(out)
 
     def __eq__(self, other: object) -> bool:
@@ -157,16 +166,17 @@ class QSeries:
         return cls(coeffs)
 
 
-def product_factors(
-    factors: Iterable[tuple[int, int, int]], order: int
+def times_factors(
+    s: QSeries, factors: Iterable[tuple[int, int, int]]
 ) -> QSeries:
-    """Truncated product of (1 - t^{t_exp} q^{q_exp})^{power} factors.
+    """s times a product of (1 - t^{t_exp} q^{q_exp})^{power} factors, at s's order.
 
     Each factor is a triple (t_exp, q_exp, power) with q_exp >= 1 and
-    power +1 or -1.  Factors with q_exp > order contribute 1 + O(q^{order+1})
-    and are skipped.
+    power +1 or -1, applied as one mul_one_minus / div_one_minus step.
+    Factors with q_exp > s.order contribute 1 + O(q^{order+1}) and are
+    skipped.
     """
-    s = QSeries.one(order)
+    order = s.order
     for t_exp, q_exp, power in factors:
         if q_exp < 1:
             raise ValueError("factors require q_exp >= 1")
@@ -179,6 +189,13 @@ def product_factors(
         else:
             raise ValueError("factor power must be +1 or -1")
     return s
+
+
+def product_factors(
+    factors: Iterable[tuple[int, int, int]], order: int
+) -> QSeries:
+    """Truncated product of (1 - t^{t_exp} q^{q_exp})^{power} factors; see times_factors."""
+    return times_factors(QSeries.one(order), factors)
 
 
 def series_H(order: int) -> QSeries:
@@ -194,9 +211,9 @@ def series_Hnnr(r: int, order: int) -> QSeries:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    s = series_H(order)
-    s = product_factors(((d, d, -1) for d in range(1, r + 1)), order) * s
-    return s.shift_q(comb(r, 2))
+    factors = [(d + 1, d, -1) for d in range(1, order + 1)]
+    factors += [(d, d, -1) for d in range(1, r + 1)]
+    return product_factors(factors, order).shift_q(comb(r, 2))
 
 
 def series_Y0(order: int) -> QSeries:
@@ -206,11 +223,16 @@ def series_Y0(order: int) -> QSeries:
     return product_factors(factors, order)
 
 
-def series_Y0_dual(order: int) -> QSeries:
-    """Dual E-polynomial generating function; reciprocal of series_Y0."""
+def y0_dual_factors(order: int) -> list[tuple[int, int, int]]:
+    """The factors of series_Y0_dual: prod_d (1 - t^{d+1} q^d)/(1 - t^{d-1} q^d)."""
     factors = [(d + 1, d, 1) for d in range(1, order + 1)]
     factors += [(d - 1, d, -1) for d in range(1, order + 1)]
-    return product_factors(factors, order)
+    return factors
+
+
+def series_Y0_dual(order: int) -> QSeries:
+    """Dual E-polynomial generating function; reciprocal of series_Y0."""
+    return product_factors(y0_dual_factors(order), order)
 
 
 def series_poincare_H(order: int) -> QSeries:
@@ -241,5 +263,5 @@ def euler_identity_check(t_exp_z: int, order: int) -> bool:
         lhs = lhs + term.scale(scalar).shift_q(k)
         n += 1
     rhs = QSeries.one(order).scale(ONE - LaurentPoly.t_power(t_exp_z))
-    rhs = product_factors(((t_exp_z + d, d, 1) for d in range(1, order + 1)), order) * rhs
+    rhs = times_factors(rhs, ((t_exp_z + d, d, 1) for d in range(1, order + 1)))
     return lhs == rhs

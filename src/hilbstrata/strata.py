@@ -7,6 +7,10 @@ plane E-polynomials,
     X = Ginv * R        (rows m >= 1, cols n >= 0: E-polys of H^[n] strata)
     B = X * Ainv        (E-polys of the B^[n] strata)
 
+Ainv is the Toeplitz matrix of series_Y0_dual, a product of
+(1 - t^a q^b)^{+-1} factors, so each row of B is the matching row of X
+times those factors, applied as factor steps.
+
 Closed forms: the same X and B columns come from explicit q-series,
 
     sum_n E(B^[n]_m) q^n = prod_{i<m} 1/(1-t^{i+1})
@@ -14,6 +18,11 @@ Closed forms: the same X and B columns come from explicit q-series,
                       * prod_{k>=0} (1 - q^k t^{k-a})/(1 - q^k t^{k-1})
 
 and the analogous sum with shifted signs/exponents for the H strata.
+The denominator does not depend on a: the a-sum of scaled numerators
+is formed first, and the denominator is applied to it once, again as
+factor steps.  Neither route forms a Cauchy product of two series; both
+run on the factor steps of qseries and the Laurent kernel under them.
+
 Every entry is checked across both routes, against the fixed-point
 enumeration of diagrams, and against the Euler-characteristic series.
 """
@@ -23,13 +32,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, Literal
 
 from . import qseries
 from .diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
 from .laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from .qseries import QSeries, product_factors
+from .qseries import QSeries, product_factors, times_factors
 
 
 class NonPolynomialCoefficientError(ArithmeticError):
@@ -208,21 +218,18 @@ def compute_X(order: int, r_matrix: StrataMatrix | None = None) -> StrataMatrix:
 
 
 def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
-    """Punctual strata E-polynomials B[m][n] = E(B^[n]_m) via B = X * Ainv."""
+    """Punctual strata E-polynomials B[m][n] = E(B^[n]_m) via B = X * Ainv.
+
+    Ainv is the Toeplitz matrix of series_Y0_dual, so row m of B is row m
+    of X read as a q-series, times that product of (1 - t^a q^b)^{+-1}
+    factors, applied one factor step at a time.
+    """
     x = x_matrix if x_matrix is not None else compute_X(order)
-    dual = qseries.series_Y0_dual(order)
+    factors = qseries.y0_dual_factors(order)
     entries = []
     for m in x.rows:
-        row = []
-        for n in range(order + 1):
-            acc = ZERO
-            for s in range(n + 1):
-                a = x.get(m, s)
-                b = dual.coeff(n - s)
-                if a and b:
-                    acc = acc + a * b
-            row.append(acc)
-        entries.append(row)
+        row = QSeries([x.get(m, n) for n in range(order + 1)])
+        entries.append(times_factors(row, factors).coeffs)
     return StrataMatrix(1, 0, entries)
 
 
@@ -232,8 +239,12 @@ def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
 def closed_form_B(m: int, order: int) -> QSeries:
     """Closed-form generating function of E(B^[n]_m), exact to the order.
 
-    The a-indexed sum is assembled with Laurent coefficients, then each
-    q-coefficient is divided exactly by prod_{i=1}^{m-1}(1 - t^{i+1});
+    The denominator prod_{k>=1} 1/(1 - t^{k-1} q^k) does not depend on
+    the summation index a, so the a-sum of scaled numerators
+    prod_{k>=1} (1 - t^{k-a} q^k) (each built once per (a, order) and
+    shared by every column and by closed_form_X) is formed first and the
+    denominator is applied to it once, as factor steps.  Each
+    q-coefficient is then divided exactly by prod_{i=1}^{m-1}(1 - t^{i+1});
     any residue of negative t-powers raises, since the strata
     E-polynomials are honest polynomials.
     """
@@ -245,18 +256,19 @@ def closed_form_X(m: int, order: int) -> QSeries:
     return _closed_form(m, order, sign_offset=0, t_offset=m, denom_shift=+1)
 
 
+@lru_cache(maxsize=None)
+def _numerator(a: int, order: int) -> QSeries:
+    """prod_{k>=1} (1 - t^{k-a} q^k), truncated; shared, so never mutate it."""
+    return product_factors(((k - a, k, 1) for k in range(1, order + 1)), order)
+
+
 def _closed_form(
     m: int, order: int, sign_offset: int, t_offset: int, denom_shift: int
 ) -> QSeries:
     if m < 1:
         raise ValueError("m must be >= 1")
-    # shared across the a-sum: prod_{k>=1} 1/(1 - t^{k+denom_shift} q^k)
-    denom_inv = product_factors(
-        ((k + denom_shift, k, -1) for k in range(1, order + 1)), order
-    )
     total = QSeries.zero(order)
     for a in range(1, m + 1):
-        numer = product_factors(((k - a, k, 1) for k in range(1, order + 1)), order)
         # k = 0 factor (1 - t^{-a}) / (1 - t^{denom_shift_at_0}), an exact Laurent scalar
         k0 = (ONE - LaurentPoly.t_power(-a)).exact_div(
             ONE - LaurentPoly.t_power(-1 if denom_shift == -1 else 1)
@@ -265,7 +277,9 @@ def _closed_form(
         scalar = scalar.shift(comb(a, 2) + t_offset)
         if (a + sign_offset) % 2:
             scalar = -scalar
-        total = total + (numer * denom_inv).scale(scalar)
+        total = total + _numerator(a, order).scale(scalar)
+    # the a-independent denominator prod_{k>=1} 1/(1 - t^{k+denom_shift} q^k)
+    total = times_factors(total, ((k + denom_shift, k, -1) for k in range(1, order + 1)))
     prefactor = ONE
     for i in range(1, m):
         prefactor = prefactor * (ONE - LaurentPoly.t_power(i + 1))
@@ -319,7 +333,7 @@ def chi_series(m: int, order: int) -> QSeries:
         term = product_factors(((0, d, -1) for d in range(1, k + 1)), order)
         coeff = LaurentPoly.const(comb(k, m) if (k - m) % 2 == 0 else -comb(k, m))
         total = total + term.scale(coeff).shift_q(comb(k, 2))
-    return product_factors(((0, d, -1) for d in range(1, order + 1)), order) * total
+    return times_factors(total, ((0, d, -1) for d in range(1, order + 1)))
 
 
 # -- the verification suite -----------------------------------------------

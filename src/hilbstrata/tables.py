@@ -29,7 +29,17 @@ from .diagrams import mu_max
 from .laurent import LaurentPoly
 from .qseries import QSeries
 
-TABLE_KINDS = ("bm", "hm", "chi", "y0", "hnnr")
+# Table kind -> (cache name, column parameter or None, builder(param, order)).
+# The builders look the series functions up on their modules at call time,
+# so a function patched there (by a tracer or a test) is the one that runs.
+SERIES: dict[str, tuple[str, str | None, Callable[[int | None, int], QSeries]]] = {
+    "bm": ("epoly_B_stratum", "m", lambda m, k: strata.closed_form_B(m, k)),
+    "hm": ("epoly_H_stratum", "m", lambda m, k: strata.closed_form_X(m, k)),
+    "chi": ("chi_B_stratum", "m", lambda m, k: strata.chi_series(m, k)),
+    "y0": ("epoly_Y0", None, lambda _, k: qseries.series_Y0(k)),
+    "hnnr": ("epoly_nested", "r", lambda r, k: qseries.series_Hnnr(r, k)),
+}
+TABLE_KINDS = tuple(SERIES)
 FORMATS = ("json", "csv", "latex")
 
 
@@ -42,7 +52,6 @@ class RunConfig:
     max_r: int = 4
     fmt: str = "latex"
     cache_dir: str | None = None
-    verify_level: str = "fast"
 
     def resolved_max_m(self) -> int:
         bound = mu_max(self.max_n)
@@ -66,8 +75,6 @@ class RunConfig:
             raise ValueError("max_r must be >= 1")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.verify_level not in ("fast", "full"):
-            raise ValueError("verify level must be fast or full")
 
 
 @dataclass
@@ -90,40 +97,33 @@ def _cached_series(
     return cache.get(name, params, order, builder)
 
 
+def table_columns(
+    kind: str, config: RunConfig
+) -> list[tuple[str, str, dict, Callable[[int], QSeries]]]:
+    """(label, cache name, cache params, builder(order)) for each column."""
+    if kind not in SERIES:
+        raise ValueError(f"unknown table kind {kind!r}")
+    name, param, fn = SERIES[kind]
+    if param is None:
+        return [(kind, name, {}, lambda k: fn(None, k))]
+    count = config.resolved_max_m() if param == "m" else config.max_r
+    return [
+        (f"{param}={c}", name, {param: c}, lambda k, c=c: fn(c, k))
+        for c in range(1, count + 1)
+    ]
+
+
 def build_table(kind: str, config: RunConfig, cache: SeriesCache | None = None) -> Table:
     """Compute the requested table at config.max_n."""
     config.validate()
-    n_max = config.max_n
-    rows = list(range(n_max + 1))
-    if kind in ("bm", "hm", "chi"):
-        m_max = config.resolved_max_m()
-        builders = {
-            "bm": ("epoly_B_stratum", strata.closed_form_B),
-            "hm": ("epoly_H_stratum", strata.closed_form_X),
-            "chi": ("chi_B_stratum", strata.chi_series),
-        }
-        name, fn = builders[kind]
-        columns = [
-            _cached_series(cache, name, {"m": m}, n_max, lambda k, m=m: fn(m, k))
-            for m in range(1, m_max + 1)
-        ]
-        labels = [f"m={m}" for m in range(1, m_max + 1)]
-    elif kind == "y0":
-        columns = [_cached_series(cache, "epoly_Y0", {}, n_max, qseries.series_Y0)]
-        labels = ["y0"]
-    elif kind == "hnnr":
-        columns = [
-            _cached_series(
-                cache, "epoly_nested", {"r": r}, n_max,
-                lambda k, r=r: qseries.series_Hnnr(r, k),
-            )
-            for r in range(1, config.max_r + 1)
-        ]
-        labels = [f"r={r}" for r in range(1, config.max_r + 1)]
-    else:
-        raise ValueError(f"unknown table kind {kind!r}")
-    cells = [[col.coeff(n) for col in columns] for n in rows]
-    return Table(kind, rows, labels, cells)
+    columns = table_columns(kind, config)
+    series = [
+        _cached_series(cache, name, params, config.max_n, builder)
+        for _, name, params, builder in columns
+    ]
+    rows = list(range(config.max_n + 1))
+    cells = [[col.coeff(n) for col in series] for n in rows]
+    return Table(kind, rows, [label for label, *_ in columns], cells)
 
 
 # -- renderers -----------------------------------------------------------

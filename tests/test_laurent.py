@@ -94,6 +94,14 @@ class TestArithmetic:
             return
         assert (p * q).exact_div(q) == p
 
+    @given(laurent_polys, laurent_polys, st.integers(-6, 6), st.sampled_from([1, -1]))
+    def test_add_shifted_matches_unfused_form(self, p, q, k, sign):
+        assert p.add_shifted(q, k, sign) == p + LaurentPoly.t_power(k, sign) * q
+
+    def test_add_shifted_cancels_to_zero(self):
+        p = P("t^3+2 t")
+        assert p.add_shifted(P("t^2+2"), 1, -1) == ZERO
+
     def test_exact_div_remainder_raises(self):
         with pytest.raises(InexactDivisionError):
             P("t+1").exact_div(P("t-1"))

@@ -18,6 +18,7 @@ from hilbstrata.qseries import (
     series_poincare_H,
     series_Y0,
     series_Y0_dual,
+    times_factors,
 )
 
 P = LaurentPoly.from_string
@@ -65,6 +66,13 @@ class TestSeriesArithmetic:
         g = series_H(5)
         assert (f * g).order == 5
 
+    def test_add_sub_reject_mismatched_orders(self):
+        with pytest.raises(ValueError):
+            series_H(5) + series_H(3)
+        with pytest.raises(ValueError):
+            series_H(3) - series_H(5)
+        assert (series_H(5) + series_H(8).truncate(5)).order == 5
+
     def test_inv_geometric(self):
         f = QSeries.one(3).mul_one_minus(2, 1)  # 1 - t^2 q
         assert f.inv() == QSeries([ONE, P("t^2"), P("t^4"), P("t^6")])
@@ -91,6 +99,43 @@ class TestSeriesArithmetic:
     def test_json_round_trip(self):
         f = series_Y0(6)
         assert QSeries.from_json(f.to_json()) == f
+
+
+# random series with Laurent coefficients of either sign of t-exponent
+laurent_series = st.lists(
+    st.dictionaries(st.integers(-5, 5), st.integers(-6, 6), max_size=4).map(LaurentPoly),
+    min_size=1,
+    max_size=8,
+).map(QSeries)
+
+
+class TestFactorSteps:
+    """The fused factor steps against generic series arithmetic."""
+
+    @staticmethod
+    def factor(t_exp, q_exp, order):
+        # 1 - t^{t_exp} q^{q_exp} as a plain series of the given order
+        coeffs = [ONE] + [ZERO] * order
+        if q_exp <= order:
+            coeffs[q_exp] = -LaurentPoly.t_power(t_exp)
+        return QSeries(coeffs)
+
+    @given(laurent_series, st.integers(-4, 4), st.integers(1, 4))
+    def test_mul_one_minus_is_cauchy_product(self, s, t_exp, q_exp):
+        assert s.mul_one_minus(t_exp, q_exp) == s * self.factor(t_exp, q_exp, s.order)
+
+    @given(laurent_series, st.integers(-4, 4), st.integers(1, 4))
+    def test_div_one_minus_is_product_with_inverse(self, s, t_exp, q_exp):
+        inverse = self.factor(t_exp, q_exp, s.order).inv()
+        assert s.div_one_minus(t_exp, q_exp) == s * inverse
+
+    @given(laurent_series, st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(1, 9), st.sampled_from([1, -1])),
+        max_size=5,
+    ))
+    def test_times_factors_is_product_with_product_factors(self, s, factors):
+        expected = s * product_factors(factors, s.order)
+        assert times_factors(s, factors) == expected
 
 
 class TestProductFactors:

@@ -6,7 +6,7 @@ import pytest
 
 from hilbstrata.diagrams import count_partitions_with_mu, mu_max
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from hilbstrata.qseries import series_H
+from hilbstrata.qseries import QSeries, series_H, series_Y0_dual
 from hilbstrata.strata import (
     NonPolynomialCoefficientError,
     StrataMatrix,
@@ -179,6 +179,40 @@ class TestClosedForms:
             for n in range(order + 1):
                 assert cb.coeff(n) == b.get(m, n), ("B", m, n)
                 assert cx.coeff(n) == x.get(m, n), ("X", m, n)
+
+
+class TestOrder30:
+    """Both pipelines run on the factor-step kernel; these pin it against
+    the generic Cauchy product and the independent partition census."""
+
+    ORDER = 30
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        x = compute_X(self.ORDER)
+        return x, compute_B(self.ORDER, x_matrix=x)
+
+    def test_closed_forms_match_matrix_pipeline(self, pipeline):
+        x, b = pipeline
+        for m in x.rows:
+            cb = closed_form_B(m, self.ORDER)
+            cx = closed_form_X(m, self.ORDER)
+            for n in range(self.ORDER + 1):
+                assert cb.coeff(n) == b.get(m, n), ("B", m, n)
+                assert cx.coeff(n) == x.get(m, n), ("X", m, n)
+
+    def test_B_rows_equal_cauchy_product_with_dual(self, pipeline):
+        x, b = pipeline
+        dual = series_Y0_dual(self.ORDER)
+        for m in x.rows:
+            row = QSeries([x.get(m, n) for n in range(self.ORDER + 1)]) * dual
+            assert [b.get(m, n) for n in range(self.ORDER + 1)] == row.coeffs, m
+
+    def test_B_at_one_is_partition_census(self, pipeline):
+        _, b = pipeline
+        for m in b.rows:
+            for n in range(self.ORDER + 1):
+                assert b.get(m, n).eval_at_one() == count_partitions_with_mu(n, m), (m, n)
 
 
 class TestLemma:

@@ -198,6 +198,13 @@ class TestCli:
         assert res.returncode == 0
         assert "all identities hold" in res.stdout
 
+    def test_verify_rejects_max_r_below_one(self):
+        # a fixed-point check over no nesting level would compare nothing
+        for bad in ("-3", "0"):
+            res = run_cli("verify", "--max-r", bad)
+            assert res.returncode == 2, bad
+            assert "--max-r must be >= 1" in res.stderr
+
     def test_verify_tiny_order(self):
         res = run_cli("verify", "--max-n", "0")
         assert res.returncode == 0
@@ -228,3 +235,21 @@ class TestCli:
         res2 = run_cli("verify", "--max-n", "4", "--max-r", "2", env=env)
         assert res2.returncode == 0
         assert "recomputing" in res2.stderr
+
+    def test_verify_screens_every_cached_table_kind(self, tmp_path, capsys):
+        from hilbstrata.cli import main
+        from hilbstrata.tables import TABLE_KINDS
+
+        cache = SeriesCache(tmp_path)
+        for kind in TABLE_KINDS:
+            build_table(kind, RunConfig(max_n=6, max_r=2), cache)
+        files = sorted(tmp_path.glob("*.json"))
+        assert any(f.name.startswith("epoly_H_stratum") for f in files)
+        assert any(f.name.startswith("chi_B_stratum") for f in files)
+        for f in files:
+            f.write_text("garbage")
+        assert main(["verify", "--max-n", "6", "--max-r", "2",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.count("recomputing") == len(files)
+        for f in files:
+            json.loads(f.read_text())  # every torn entry was rewritten
