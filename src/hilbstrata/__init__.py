@@ -1,8 +1,10 @@
 """Exact E-polynomials of generator-count strata of punctual Hilbert schemes.
 
 Two pipelines compute the same tables: closed-form q-series expansion,
-and torus fixed-point enumeration followed by triangular matrix
-inversion over the Laurent polynomial ring.  They share the Laurent
+and the nested-scheme series (re-derived from torus fixed points)
+inverted through the Gaussian-binomial and punctured-plane relations.
+Every strata row is a q-series, and both pipelines build it from
+products of (1 - t^a q^b)^{+-1} factors; they share the Laurent
 arithmetic and the q-series factor steps under them.  Everything is
 exact integer arithmetic; the verification suite checks the pipelines
 against each other, against the fixed-point sums and the partition
@@ -44,10 +46,6 @@ from .strata import (
     NonPolynomialCoefficientError,
     StrataMatrix,
     VerificationReport,
-    build_A,
-    build_A_inverse,
-    build_G,
-    build_G_inverse,
     build_R,
     chi_series,
     closed_form_B,
@@ -70,10 +68,6 @@ __all__ = [
     "StrataMatrix",
     "VerificationReport",
     "alpha",
-    "build_A",
-    "build_A_inverse",
-    "build_G",
-    "build_G_inverse",
     "build_R",
     "chi_series",
     "closed_form_B",

@@ -4,14 +4,17 @@ Entries are JSON files keyed by (series name, parameters, order).  A
 loaded entry is screened by recomputing one randomly chosen coefficient
 from scratch; anything unreadable, mismatched or stale is recomputed and
 rewritten with a warning on stderr.  Exact integer data makes the
-comparison bit-exact.
+comparison bit-exact.  Writes go through a temp file and os.replace, so
+concurrent runs never read a half-written entry.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
+import threading
 from pathlib import Path
 from typing import Callable
 
@@ -49,8 +52,21 @@ class SeriesCache:
         series = builder(order)
         payload = {"name": name, "params": params, "order": order,
                    "series": series.to_json()}
-        path.write_text(json.dumps(payload))
+        self._write(path, json.dumps(payload))
         return series
+
+    def _write(self, path: Path, text: str) -> None:
+        """Write through a temp file in the same directory and os.replace it,
+        so a reader sees the old entry or the new one, never a torn one."""
+        # named per process and thread, so concurrent writers never share
+        # a temp file; created with the usual permissions, like the entry
+        tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _load(self, path, name, params, order, builder) -> QSeries | None:
         try:

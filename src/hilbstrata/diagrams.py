@@ -223,13 +223,11 @@ def e_poly_Hnnr_fixed(n: int, r: int) -> LaurentPoly:
 
 
 def e_poly_Bnnr_fixed(n: int, r: int) -> LaurentPoly:
-    """E-polynomial of the origin-supported locus B^[n, n+r]: sum of t^{2n-r(r-1)-alpha}."""
-    dim = 2 * n - r * (r - 1)
-    acc: dict[int, int] = {}
-    for md in enumerate_marked(n, r):
-        a = dim - alpha(tangent_character(md))
-        acc[a] = acc.get(a, 0) + 1
-    return LaurentPoly(acc)
+    """E-polynomial of the origin-supported locus B^[n, n+r]: sum of t^{2n-r(r-1)-alpha}.
+
+    The reflection t^alpha -> t^{dim - alpha} of e_poly_Hnnr_fixed's census.
+    """
+    return e_poly_Hnnr_fixed(n, r).invert_variable().shift(2 * n - r * (r - 1))
 
 
 def mu_max(n: int) -> int:

@@ -6,8 +6,8 @@ coefficients are never stored, so two values are equal iff their term
 maps are equal, and the zero polynomial is the empty map.
 
 This is the universal value type of the package: E-polynomials, their
-duals, Gaussian binomials and every matrix/series entry are LaurentPoly
-values.  No floating point anywhere.
+duals, Gaussian binomials and every strata/series coefficient are
+LaurentPoly values.  No floating point anywhere.
 """
 
 from __future__ import annotations

@@ -255,13 +255,14 @@ def euler_identity_check(t_exp_z: int, order: int) -> bool:
     """
     n = 0
     lhs = QSeries.zero(order)
+    inv_pochhammer = QSeries.one(order)  # 1/prod_{d<=n}(1 - t^d q^d), one step per n
     while comb(n, 2) <= order:
         # (-1)^n t^{n*t_exp_z} (tq)^C(n,2) / prod_{d<=n}(1 - t^d q^d)
-        term = product_factors(((d, d, -1) for d in range(1, n + 1)), order)
         k = comb(n, 2)
         scalar = LaurentPoly.t_power(n * t_exp_z + k, -1 if n % 2 else 1)
-        lhs = lhs + term.scale(scalar).shift_q(k)
+        lhs = lhs + inv_pochhammer.scale(scalar).shift_q(k)
         n += 1
+        inv_pochhammer = inv_pochhammer.div_one_minus(n, n)
     rhs = QSeries.one(order).scale(ONE - LaurentPoly.t_power(t_exp_z))
     rhs = times_factors(rhs, ((t_exp_z + d, d, 1) for d in range(1, order + 1)))
     return lhs == rhs

@@ -4,23 +4,23 @@ from math import comb
 
 import pytest
 
-from hilbstrata.diagrams import count_partitions_with_mu, mu_max
+from hilbstrata.diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from hilbstrata.qseries import QSeries, series_H, series_Y0_dual
+from hilbstrata import qseries
+from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0, series_Y0_dual
 from hilbstrata.strata import (
+    CheckResult,
     NonPolynomialCoefficientError,
-    StrataMatrix,
-    build_A,
-    build_A_inverse,
-    build_G,
-    build_G_inverse,
+    VerificationReport,
     build_R,
-    check_relation_grassmannian,
     chi_series,
     closed_form_B,
     closed_form_X,
     compute_B,
     compute_X,
+    convolution_cells,
+    ginv_entry,
+    grassmannian_cells,
     lemma_identity_check,
     verify_all,
 )
@@ -30,61 +30,69 @@ from reference_data import B_TABLE, CHI_TABLE, H_TABLE, Y0_TABLE
 P = LaurentPoly.from_string
 
 
+def mismatches(comparisons):
+    return [where for where, got, want in comparisons if got != want]
+
+
 class TestMatrices:
+    """G(k, m) = gauss(k, m) and its inverse; A and Ainv as the series
+    series_Y0 and series_Y0_dual; R as the nested-scheme rows."""
+
     def test_G_entries(self):
-        g = build_G(4)
-        assert g.get(1, 1) == ONE
-        assert g.get(2, 1) == ZERO
-        assert g.get(1, 2) == P("1+t")
+        assert gauss_binomial(1, 1) == ONE
+        assert gauss_binomial(1, 2) == ZERO
+        assert gauss_binomial(2, 1) == P("1+t")
 
     def test_Ginv_entries(self):
-        gi = build_G_inverse(4)
-        assert gi.get(2, 2) == ONE
-        assert gi.get(2, 3) == -gauss_binomial(3, 2)
-        assert gi.get(2, 3) == P("-t^2-t-1")
+        assert ginv_entry(2, 2) == ONE
+        assert ginv_entry(2, 3) == -gauss_binomial(3, 2)
+        assert ginv_entry(2, 3) == P("-t^2-t-1")
+        assert ginv_entry(3, 2) == ZERO
 
     @pytest.mark.parametrize("size", [1, 4, 8])
     def test_G_inverse_both_sides(self, size):
-        g = build_G(size)
-        gi = build_G_inverse(size)
-        assert g.matmul(gi).is_identity()
-        assert gi.matmul(g).is_identity()
+        labels = range(1, size + 1)
+        for i in labels:
+            for j in labels:
+                delta = ONE if i == j else ZERO
+                g_ginv = sum((gauss_binomial(l, i) * ginv_entry(l, j) for l in labels), ZERO)
+                ginv_g = sum((ginv_entry(i, l) * gauss_binomial(j, l) for l in labels), ZERO)
+                assert g_ginv == delta, (i, j)
+                assert ginv_g == delta, (i, j)
 
     def test_A_entries(self):
-        a = build_A(6)
-        assert all(a.get(i, i) == ONE for i in range(7))
-        assert a.get(1, 2) == P("t^2-1")
-        assert a.get(3, 1) == ZERO
+        # A(i, j) = E(Y0^[j-i]): ones on the diagonal, zero below it
+        a = series_Y0(6)
+        assert a.coeff(0) == ONE
+        assert a.coeff(1) == P("t^2-1")
+        assert a.coeff(-2) == ZERO
 
     @pytest.mark.parametrize("order", [1, 5, 10])
     def test_A_inverse_both_sides(self, order):
-        a = build_A(order)
-        ai = build_A_inverse(order)
-        assert a.matmul(ai).is_identity()
-        assert ai.matmul(a).is_identity()
+        a, ai = series_Y0(order), series_Y0_dual(order)
+        assert a * ai == QSeries.one(order)
+        assert ai * a == QSeries.one(order)
 
     def test_R_known_entries(self):
         r = build_R(3, 4)
         assert r.get(2, 1) == ONE
         assert r.get(3, 2) == ZERO
         assert r.get(1, 1) == P("t^2+t")
+        assert r.get(4, 1) == ZERO  # outside the family
 
     def test_R_methods_agree(self):
-        assert build_R(4, 8, "series").entries == build_R(4, 8, "fixedpoint").entries
+        # the series rows against the fixed-point sums
+        r = build_R(4, 8)
+        for k in range(1, 5):
+            for n in range(9):
+                assert r.get(k, n) == e_poly_Hnnr_fixed(n, k), (k, n)
 
-    def test_R_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            build_R(2, 4, "guess")
-
-    def test_matmul_requires_matching_labels(self):
-        with pytest.raises(ValueError):
-            build_G(3).matmul(build_A(3))  # cols 1..3 against rows 0..3
-
-    def test_json_round_trip(self):
-        m = build_R(3, 5)
-        back = StrataMatrix.from_json(m.to_json())
-        assert back.entries == m.entries
-        assert (back.row_base, back.col_base) == (m.row_base, m.col_base)
+    def test_R_rows_are_nested_series(self):
+        # the running product matches series_Hnnr built from scratch
+        r = build_R(6, 20)
+        assert list(r.rows) == list(range(1, 7))
+        for k, row in r.rows.items():
+            assert row == series_Hnnr(k, 20), k
 
 
 class TestPipeline:
@@ -123,7 +131,7 @@ class TestPipeline:
     def test_B_degree_bound(self):
         b = compute_B(14)
         for m in b.rows:
-            for n in b.cols:
+            for n in range(15):
                 cell = b.get(m, n)
                 assert cell.is_polynomial()
                 if cell:
@@ -229,9 +237,6 @@ class TestLemma:
             for k in range(-2, 11):
                 assert lemma_identity_check(m, k), (m, k)
 
-    def test_numeric_mode(self):
-        assert lemma_identity_check(4, 7, as_symbol=False)
-
 
 class TestChi:
     def test_reference_table(self):
@@ -266,22 +271,61 @@ class TestVerifyAll:
         }
 
     def test_order_zero_trivially_passes(self):
-        assert verify_all(0, fp_max_r=1, fp_max_n=0, identity_order=1).passed
+        report = verify_all(0, fp_max_r=1, fp_max_n=0, identity_order=1)
+        assert report.passed
+        assert all(c.cells_compared > 0 for c in report.checks)
 
     def test_corrupted_entry_reports_coordinates(self):
         order = 6
         r = build_R(mu_max(order), order)
         x = compute_X(order, r_matrix=r)
-        x.entries[1][3] = x.entries[1][3] + ONE  # corrupt X[2][3]
-        bad = check_relation_grassmannian(r, x)
+        x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + ONE  # corrupt X[2][3]
+        bad = mismatches(grassmannian_cells(r, x))
         assert bad
         assert all(n == 3 for _, n in bad)
+
+    def test_corrupted_B_reports_convolution_coordinates(self):
+        order = 6
+        x = compute_X(order)
+        b = compute_B(order, x_matrix=x)
+        assert not mismatches(convolution_cells(x, b, order))
+        b.rows[3].coeffs[4] = b.rows[3].coeffs[4] + ONE  # corrupt B[3][4]
+        bad = mismatches(convolution_cells(x, b, order))
+        assert [3, 4] in bad
+        assert all(m == 3 and n >= 4 for m, n in bad)
+
+    def test_corrupted_dual_series_fails_A_Ainv(self, monkeypatch):
+        true_dual = qseries.series_Y0_dual
+
+        def corrupted(order):
+            s = true_dual(order)
+            s.coeffs[2] = s.coeffs[2] + ONE
+            return s
+
+        monkeypatch.setattr(qseries, "series_Y0_dual", corrupted)
+        report = verify_all(4, fp_max_r=2, fp_max_n=4, identity_order=4)
+        failed = {c.name: c.failures for c in report.checks if not c.passed}
+        assert list(failed) == ["A * Ainv == I"]
+        assert failed["A * Ainv == I"][0] == [2]
+
+    def test_zero_cell_check_fails(self):
+        vacuous = CheckResult.compare("nothing compared", [])
+        assert vacuous.cells_compared == 0 and not vacuous.failures
+        assert not vacuous.passed
+        report = VerificationReport(3, [CheckResult.compare("one cell", [([0], ONE, ONE)]),
+                                        vacuous])
+        assert not report.passed
+        assert report.to_json()["checks"][1] == {
+            "name": "nothing compared", "passed": False, "cells_compared": 0, "failures": []}
+        assert "[FAIL] nothing compared (0 cells)" in str(report)
+        assert "all identities hold" not in str(report)
 
     def test_report_serializes(self):
         report = verify_all(4, fp_max_r=2, fp_max_n=4, identity_order=4)
         obj = report.to_json()
         assert obj["passed"] is True
         assert all("name" in c and "failures" in c for c in obj["checks"])
+        assert all(c["cells_compared"] > 0 for c in obj["checks"])
 
 
 class TestErrorPaths:
@@ -298,5 +342,3 @@ class TestErrorPaths:
             chi_series(0, 5)
         with pytest.raises(ValueError):
             build_R(0, 5)
-        with pytest.raises(ValueError):
-            build_G(0)

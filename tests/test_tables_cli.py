@@ -133,6 +133,21 @@ class TestSeriesCache:
         assert got == series_Y0(5)
         assert "stale coefficient" in capsys.readouterr().err
 
+    def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
+        cache = SeriesCache(tmp_path, rng=random.Random(1))
+        cache.get("epoly_Y0", {}, 5, series_Y0)
+        victim = next(tmp_path.glob("*.json"))
+        victim.write_text("{ not json")  # forces a rewrite on the next get
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("hilbstrata.cache.os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cache.get("epoly_Y0", {}, 5, series_Y0)
+        assert victim.read_text() == "{ not json"
+        assert list(tmp_path.iterdir()) == [victim]  # no temp file left behind
+
     def test_distinct_params_distinct_entries(self, tmp_path):
         from hilbstrata.strata import chi_series
 
