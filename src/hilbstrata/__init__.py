@@ -24,6 +24,7 @@ from .qseries import (
     q_pochhammer,
     series_H,
     series_Hnnr,
+    series_Hnnr_rows,
     series_poincare_H,
     series_Y0,
     series_Y0_dual,
@@ -90,6 +91,7 @@ __all__ = [
     "q_pochhammer",
     "series_H",
     "series_Hnnr",
+    "series_Hnnr_rows",
     "series_poincare_H",
     "series_Y0",
     "series_Y0_dual",

@@ -9,6 +9,7 @@ All the named generating functions live here:
 
   series_H          prod_d 1/(1 - t^{d+1} q^d)          (Hilbert scheme of the plane)
   series_Hnnr(r)    q^C(r,2) * series_H * prod_{d<=r} 1/(1 - t^d q^d)
+  series_Hnnr_rows  series_Hnnr(r) for r = 1..max_r, one factor step apart
   series_Y0         prod_d (1 - t^{d-1} q^d)/(1 - t^{d+1} q^d)   (punctured plane)
   series_Y0_dual    the reciprocal product (dual E-polynomials)
   series_poincare_H prod_d 1/(1 - t^{d-1} q^d)          (Poincare polynomials)
@@ -18,7 +19,7 @@ All the named generating functions live here:
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .laurent import ONE, ZERO, LaurentPoly
 
@@ -174,21 +175,23 @@ def times_factors(
     Each factor is a triple (t_exp, q_exp, power) with q_exp >= 1 and
     power +1 or -1, applied as one mul_one_minus / div_one_minus step.
     Factors with q_exp > s.order contribute 1 + O(q^{order+1}) and are
-    skipped.
+    skipped.  The result never shares its coefficient list with s.
     """
     order = s.order
+    out = s
     for t_exp, q_exp, power in factors:
         if q_exp < 1:
             raise ValueError("factors require q_exp >= 1")
         if q_exp > order:
             continue
         if power == 1:
-            s = s.mul_one_minus(t_exp, q_exp)
+            out = out.mul_one_minus(t_exp, q_exp)
         elif power == -1:
-            s = s.div_one_minus(t_exp, q_exp)
+            out = out.div_one_minus(t_exp, q_exp)
         else:
             raise ValueError("factor power must be +1 or -1")
-    return s
+    # a fresh series even when no step applied: callers may mutate either
+    return out if out is not s else QSeries(s.coeffs)
 
 
 def product_factors(
@@ -209,11 +212,22 @@ def series_Hnnr(r: int, order: int) -> QSeries:
     Equals q^C(r,2) * series_H * prod_{d=1}^{r} 1/(1 - t^d q^d); in
     particular the q^n coefficient vanishes for n < C(r,2).
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    factors = [(d + 1, d, -1) for d in range(1, order + 1)]
-    factors += [(d, d, -1) for d in range(1, r + 1)]
-    return product_factors(factors, order).shift_q(comb(r, 2))
+    *_, row = series_Hnnr_rows(r, order)  # raises ValueError for r < 1
+    return row
+
+
+def series_Hnnr_rows(max_r: int, order: int) -> Iterator[QSeries]:
+    """series_Hnnr(r, order) for r = 1, ..., max_r, in that order.
+
+    One running product series_H * prod_{d<=r} 1/(1 - t^d q^d) advances
+    by a single factor step per r; row r is that product times q^C(r,2).
+    """
+    if max_r < 1:
+        raise ValueError("max_r must be >= 1")
+    running = series_H(order)
+    for r in range(1, max_r + 1):
+        running = running.div_one_minus(r, r)
+        yield running.shift_q(comb(r, 2))
 
 
 def series_Y0(order: int) -> QSeries:

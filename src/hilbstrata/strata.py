@@ -11,9 +11,9 @@ Gaussian-binomial matrix G(k, m) = gauss(k, m),
     X_m = sum_k Ginv(m, k) R_k      (R_r = sum_m gauss(m, r) X_m)
     B_m = X_m * series_Y0_dual      (X_m = B_m * series_Y0)
 
-build_R advances one running product by a factor per r, and B_m is X_m
-times the (1 - t^a q^b)^{+-1} factors of series_Y0_dual, applied as
-factor steps.
+series_Hnnr_rows advances one running product by a factor per r for
+both series_Hnnr and build_R, and B_m is X_m times the
+(1 - t^a q^b)^{+-1} factors of series_Y0_dual, applied as factor steps.
 
 Closed forms: the same X and B columns come from explicit q-series,
 
@@ -75,19 +75,9 @@ def ginv_entry(m: int, k: int) -> LaurentPoly:
 
 
 def build_R(max_r: int, order: int) -> StrataMatrix:
-    """Nested-scheme rows R_r = series_Hnnr(r, order) for 1 <= r <= max_r.
-
-    One running product series_H * prod_{d<=r} 1/(1 - t^d q^d) advances
-    by a single factor step per r; row r is that product times q^C(r,2).
-    """
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
-    running = qseries.series_H(order)
-    rows = {}
-    for r in range(1, max_r + 1):
-        running = running.div_one_minus(r, r)
-        rows[r] = running.shift_q(comb(r, 2))
-    return StrataMatrix(rows)
+    """Nested-scheme rows R_r = series_Hnnr(r, order) for 1 <= r <= max_r,
+    built by qseries.series_Hnnr_rows one factor step apart."""
+    return StrataMatrix(dict(enumerate(qseries.series_Hnnr_rows(max_r, order), 1)))
 
 
 def compute_X(order: int, r_matrix: StrataMatrix | None = None) -> StrataMatrix:
@@ -358,10 +348,10 @@ def verify_all(
     ))
 
     # fixed points against the series
-    run("fixed-point sums == product series", (
-        ([r, n], e_poly_Hnnr_fixed(n, r), s.coeff(n))
-        for r, s in build_R(fp_max_r, fp_max_n).rows.items()
-        for n in range(fp_max_n + 1)
+    run("fixed-point sums == product series", chain.from_iterable(
+        series_cells([r], QSeries([e_poly_Hnnr_fixed(n, r) for n in range(fp_max_n + 1)]),
+                     qseries.series_Hnnr(r, fp_max_n))
+        for r in range(1, fp_max_r + 1)
     ))
 
     # Euler characteristics three ways: chi coefficients must be the

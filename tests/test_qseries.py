@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
+from hilbstrata import qseries
 from hilbstrata.qseries import (
     NotInvertibleError,
     QSeries,
@@ -135,7 +136,9 @@ class TestFactorSteps:
     ))
     def test_times_factors_is_product_with_product_factors(self, s, factors):
         expected = s * product_factors(factors, s.order)
-        assert times_factors(s, factors) == expected
+        out = times_factors(s, factors)
+        assert out == expected
+        assert out.coeffs is not s.coeffs  # never the input's list, even with no step
 
 
 class TestProductFactors:
@@ -191,6 +194,16 @@ class TestNamedSeries:
     def test_shift_q_beyond_order(self):
         s = series_H(3).shift_q(7)
         assert s == QSeries.zero(3)
+
+    def test_series_Hnnr_rows_agree_with_each_r(self):
+        rows = list(qseries.series_Hnnr_rows(5, 12))
+        assert len(rows) == 5
+        for r, row in enumerate(rows, 1):
+            want = (series_H(12) * qseries.q_pochhammer(r, 12).inv()).shift_q(comb(r, 2))
+            assert row == want, r
+            assert series_Hnnr(r, 12) == want, r
+        with pytest.raises(ValueError):
+            list(qseries.series_Hnnr_rows(0, 12))
 
     def test_series_Hnnr_examples(self):
         assert series_Hnnr(2, 4).coeff(0) == ZERO

@@ -88,11 +88,15 @@ class TestMatrices:
                 assert r.get(k, n) == e_poly_Hnnr_fixed(n, k), (k, n)
 
     def test_R_rows_are_nested_series(self):
-        # the running product matches series_Hnnr built from scratch
+        # the running product against q^C(k,2) * series_H / (tq)_k formed
+        # by Cauchy product and series inversion, no factor steps after
+        # series_H; series_Hnnr shares the running product
         r = build_R(6, 20)
         assert list(r.rows) == list(range(1, 7))
         for k, row in r.rows.items():
-            assert row == series_Hnnr(k, 20), k
+            want = (series_H(20) * qseries.q_pochhammer(k, 20).inv()).shift_q(comb(k, 2))
+            assert row == want, k
+            assert series_Hnnr(k, 20) == want, k
 
 
 class TestPipeline:
@@ -127,6 +131,18 @@ class TestPipeline:
             for n in range(1, comb(m, 2)):
                 assert b.get(m, n) == ZERO, (m, n)
             assert b.get(m, comb(m, 2)) == ONE, m
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_B_rows_share_nothing_with_X(self, order):
+        # at order 0 every factor lies past the truncation; B must still
+        # hold its own rows, so mutating one family leaves the other alone
+        x = compute_X(order)
+        b = compute_B(order, x_matrix=x)
+        for m in x.rows:
+            assert b.rows[m] is not x.rows[m]
+            assert b.rows[m].coeffs is not x.rows[m].coeffs
+        x.rows[1].coeffs[0] = ZERO
+        assert b.get(1, 0) == ONE
 
     def test_B_degree_bound(self):
         b = compute_B(14)
