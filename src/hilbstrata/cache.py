@@ -22,10 +22,10 @@ from .qseries import QSeries
 
 
 class SeriesCache:
-    def __init__(self, directory: str | Path, rng: random.Random | None = None):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.rng = rng or random.Random()
+        self.rng = random.Random()
 
     def _path(self, name: str, params: dict, order: int) -> Path:
         tag = "_".join(f"{k}{params[k]}" for k in sorted(params))

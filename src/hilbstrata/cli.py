@@ -18,7 +18,7 @@ import sys
 
 from . import strata
 from .cache import SeriesCache
-from .tables import FORMATS, TABLE_KINDS, RunConfig, build_table, render, table_columns
+from .tables import FORMATS, TABLE_KINDS, build_table, check_bounds, render
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,17 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_table(args, parser) -> int:
-    config = RunConfig(
-        max_n=args.max_n, max_m=args.max_m, max_r=args.max_r,
-        fmt=args.fmt, cache_dir=args.cache_dir,
-    )
-    try:
-        config.validate()
+    try:  # only the bounds: a ValueError from the build is not a usage error
+        check_bounds(args.max_n, args.max_m, args.max_r)
     except ValueError as exc:
         parser.error(str(exc))
-    cache = SeriesCache(config.cache_dir) if config.cache_dir else None
-    table = build_table(args.kind, config, cache)
-    sys.stdout.write(render(table, config.fmt))
+    cache = SeriesCache(args.cache_dir) if args.cache_dir else None
+    table = build_table(args.kind, args.max_n, args.max_m, args.max_r, cache)
+    sys.stdout.write(render(table, args.fmt))
     return 0
 
 
@@ -78,7 +74,11 @@ def cmd_verify(args, parser) -> int:
     if fp_r < 1:
         parser.error("--max-r must be >= 1")
     if args.cache_dir:
-        _revalidate_cache(SeriesCache(args.cache_dir), order, fp_r)
+        # screen every cached series a table at this order can read;
+        # the cache logs its own repairs
+        cache = SeriesCache(args.cache_dir)
+        for kind in TABLE_KINDS:
+            build_table(kind, order, max_r=fp_r, cache=cache)
     report = strata.verify_all(
         order, fp_max_r=fp_r, fp_max_n=fp_n, identity_order=id_order,
     )
@@ -87,15 +87,6 @@ def cmd_verify(args, parser) -> int:
         return 0
     print(json.dumps(report.to_json(), indent=1))
     return 1
-
-
-def _revalidate_cache(cache: SeriesCache, order: int, max_r: int) -> None:
-    """Screen every cached series a table at this order can read; repairs
-    are logged by the cache itself."""
-    config = RunConfig(max_n=order, max_r=max_r)
-    for kind in TABLE_KINDS:
-        for _, name, params, builder in table_columns(kind, config):
-            cache.get(name, params, order, builder)
 
 
 def main(argv=None) -> int:

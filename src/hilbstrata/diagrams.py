@@ -124,31 +124,9 @@ class MarkedDiagram:
         if bad:
             raise ValueError(f"marks {sorted(bad)} are not elbows of {self.parts}")
 
-    @property
-    def n_plus_r(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def r(self) -> int:
-        return len(self.marks)
-
-    @property
-    def n(self) -> int:
-        return self.n_plus_r - self.r
-
     def inner_partition(self) -> Partition:
         """The smaller diagram (marks removed)."""
         return remove_boxes(self.parts, self.marks)
-
-    def to_json(self) -> dict:
-        return {
-            "parts": list(self.parts),
-            "marks": sorted([a, b] for a, b in self.marks),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> MarkedDiagram:
-        return cls(tuple(obj["parts"]), frozenset((a, b) for a, b in obj["marks"]))
 
 
 def q_boxes(md: MarkedDiagram) -> set[Box]:

@@ -146,18 +146,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def add_shifted(self, other: LaurentPoly, k: int, sign: int = 1) -> LaurentPoly:
         """self + sign * t^k * other, fused into one pass over other's terms.
 
@@ -341,7 +329,6 @@ def _parse_term(chunk: str) -> tuple[int, int]:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
-T = LaurentPoly.t_power(1)
 
 
 @lru_cache(maxsize=None)

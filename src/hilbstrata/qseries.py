@@ -149,9 +149,6 @@ class QSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def __repr__(self) -> str:
         inner = " + ".join(f"({c})q^{n}" for n, c in enumerate(self.coeffs) if c)
         return f"QSeries[{inner or '0'}; O(q^{self.order + 1})]"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import qseries
 from .diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
@@ -298,7 +298,6 @@ def verify_all(
     fp_max_r: int = 3,
     fp_max_n: int | None = None,
     identity_order: int = 12,
-    progress: Callable[[str], None] | None = None,
 ) -> VerificationReport:
     """Run every internal identity and cross-pipeline check at the given order.
 
@@ -313,11 +312,7 @@ def verify_all(
     checks: list[CheckResult] = []
 
     def run(name: str, comparisons: Iterable[Comparison]):
-        check = CheckResult.compare(name, comparisons)
-        checks.append(check)
-        if progress:
-            status = "ok" if check.passed else f"{len(check.failures)} mismatches"
-            progress(f"{name}: {status} ({check.cells_compared} cells)")
+        checks.append(CheckResult.compare(name, comparisons))
 
     top = mu_max(order)  # always >= 1
     r_ser = build_R(top, order)

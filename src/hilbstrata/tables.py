@@ -1,7 +1,9 @@
 """Assembly and rendering of the package's tables.
 
-A Table is a rectangular block of LaurentPoly cells with an n-row per
-line and labelled columns.  Five kinds are built:
+build_table(kind, max_n, max_m, max_r, cache) reads the series that
+SERIES names for a kind, one per column, and returns a Table: a
+rectangular block of LaurentPoly cells with a row per n = 0..max_n and
+labelled columns.  Five kinds are built:
 
   bm    E(B^[n]_m), columns m = 1..max_m
   hm    E(H^[n]_m), columns m = 1..max_m
@@ -9,9 +11,9 @@ line and labelled columns.  Five kinds are built:
   y0    E(Y0^[n]), one column
   hnnr  E(H^[n, n+r]), columns r = 1..max_r
 
-Renderers emit LaTeX (publication-style cells such as "t^4+2 t^3-t"), CSV
-(canonical cells such as "t^4+2*t^3-t") and JSON (exact term lists);
-CSV and JSON re-parse to the same polynomials.
+render(table, fmt) emits one of FORMATS: LaTeX (publication-style cells
+such as "t^4+2 t^3-t"), CSV (canonical cells such as "t^4+2*t^3-t") or
+JSON (exact term lists); CSV and JSON re-parse to the same polynomials.
 """
 
 from __future__ import annotations
@@ -44,40 +46,6 @@ FORMATS = ("json", "csv", "latex")
 
 
 @dataclass
-class RunConfig:
-    """Knobs shared by the CLI commands."""
-
-    max_n: int = 14
-    max_m: int | None = None  # defaults to mu_max(max_n)
-    max_r: int = 4
-    fmt: str = "latex"
-    cache_dir: str | None = None
-
-    def resolved_max_m(self) -> int:
-        bound = mu_max(self.max_n)
-        if self.max_m is None:
-            return bound
-        if self.max_m > bound:
-            print(
-                f"warning: max_m={self.max_m} exceeds mu_max({self.max_n})={bound}; "
-                f"rows above the bound are identically zero, clamping",
-                file=sys.stderr,
-            )
-            return bound
-        return self.max_m
-
-    def validate(self) -> None:
-        if self.max_n < 0:
-            raise ValueError("max_n must be >= 0")
-        if self.max_m is not None and self.max_m < 1:
-            raise ValueError("max_m must be >= 1")
-        if self.max_r < 1:
-            raise ValueError("max_r must be >= 1")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-
-
-@dataclass
 class Table:
     kind: str
     rows: list[int]
@@ -85,43 +53,52 @@ class Table:
     cells: list[list[LaurentPoly]]  # cells[row][col]
 
 
-def _cached_series(
-    cache: SeriesCache | None,
-    name: str,
-    params: dict,
-    order: int,
-    builder: Callable[[int], QSeries],
-) -> QSeries:
-    if cache is None:
-        return builder(order)
-    return cache.get(name, params, order, builder)
+def check_bounds(max_n: int, max_m: int | None, max_r: int) -> None:
+    """Raise ValueError naming the first table bound out of range."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    if max_m is not None and max_m < 1:
+        raise ValueError("max_m must be >= 1")
+    if max_r < 1:
+        raise ValueError("max_r must be >= 1")
 
 
-def table_columns(
-    kind: str, config: RunConfig
-) -> list[tuple[str, str, dict, Callable[[int], QSeries]]]:
-    """(label, cache name, cache params, builder(order)) for each column."""
+def build_table(
+    kind: str,
+    max_n: int,
+    max_m: int | None = None,
+    max_r: int = 4,
+    cache: SeriesCache | None = None,
+) -> Table:
+    """The table of one kind, rows n = 0..max_n.
+
+    The m-columns run to max_m, which defaults to mu_max(max_n) and is
+    clamped there with a warning on stderr, since rows above it are
+    identically zero; the r-columns of hnnr run to max_r.  With a cache,
+    each column is read through it, which screens and repairs its entry.
+    """
+    check_bounds(max_n, max_m, max_r)
     if kind not in SERIES:
         raise ValueError(f"unknown table kind {kind!r}")
     name, param, fn = SERIES[kind]
-    if param is None:
-        return [(kind, name, {}, lambda k: fn(None, k))]
-    count = config.resolved_max_m() if param == "m" else config.max_r
-    return [
-        (f"{param}={c}", name, {param: c}, lambda k, c=c: fn(c, k))
-        for c in range(1, count + 1)
-    ]
-
-
-def build_table(kind: str, config: RunConfig, cache: SeriesCache | None = None) -> Table:
-    """Compute the requested table at config.max_n."""
-    config.validate()
-    columns = table_columns(kind, config)
+    count = max_r
+    if param == "m":
+        bound = mu_max(max_n)
+        if max_m is not None and max_m > bound:
+            print(
+                f"warning: max_m={max_m} exceeds mu_max({max_n})={bound}; "
+                f"rows above the bound are identically zero, clamping",
+                file=sys.stderr,
+            )
+        count = min(max_m or bound, bound)
+    columns = ([(kind, {}, None)] if param is None
+               else [(f"{param}={c}", {param: c}, c) for c in range(1, count + 1)])
     series = [
-        _cached_series(cache, name, params, config.max_n, builder)
-        for _, name, params, builder in columns
+        fn(c, max_n) if cache is None
+        else cache.get(name, params, max_n, lambda k, c=c: fn(c, k))
+        for _, params, c in columns
     ]
-    rows = list(range(config.max_n + 1))
+    rows = list(range(max_n + 1))
     cells = [[col.coeff(n) for col in series] for n in rows]
     return Table(kind, rows, [label for label, *_ in columns], cells)
 
@@ -161,6 +138,9 @@ def render_json(table: Table) -> str:
 
 
 def render(table: Table, fmt: str) -> str:
+    """The table in one of FORMATS."""
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}")
     return {"latex": render_latex, "csv": render_csv, "json": render_json}[fmt](table)
 
 

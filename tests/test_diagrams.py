@@ -126,11 +126,6 @@ class TestMarkedDiagrams:
         with pytest.raises(ValueError):
             MarkedDiagram((2, 1), frozenset({(1, 1)}))
 
-    def test_json_round_trip(self):
-        md = enumerate_marked(3, 2)[0]
-        assert MarkedDiagram.from_json(md.to_json()) == md
-        assert md.to_json()["marks"] == sorted(md.to_json()["marks"])
-
 
 class TestQBoxes:
     def test_figure_pair(self):

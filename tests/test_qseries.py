@@ -56,6 +56,9 @@ class TestSeriesArithmetic:
     def test_mul_identity(self):
         f = series_H(6)
         assert f * QSeries.one(6) == f
+        # equality reads the mutable coeffs list, so a series has no hash
+        with pytest.raises(TypeError):
+            hash(QSeries.one(2))
 
     def test_mul_small(self):
         one_plus = QSeries([ONE, ONE, ZERO])

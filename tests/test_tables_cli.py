@@ -1,7 +1,6 @@
 """Table assembly, rendering round trips, the series cache and the CLI."""
 
 import json
-import random
 import subprocess
 import sys
 
@@ -11,8 +10,9 @@ from hilbstrata.cache import SeriesCache
 from hilbstrata.laurent import LaurentPoly
 from hilbstrata.qseries import series_Y0
 from hilbstrata.tables import (
-    RunConfig,
+    FORMATS,
     build_table,
+    render,
     render_csv,
     render_json,
     render_latex,
@@ -36,64 +36,69 @@ def run_cli(*args, env=None):
 
 class TestBuildTable:
     def test_bm_cells(self):
-        table = build_table("bm", RunConfig(max_n=14, max_m=5))
+        table = build_table("bm", max_n=14, max_m=5)
         for (n, m), cell in B_TABLE.items():
             assert table.cells[n][m - 1] == P(cell)
 
     def test_chi_cells(self):
-        table = build_table("chi", RunConfig(max_n=7, max_m=4))
+        table = build_table("chi", max_n=7, max_m=4)
         for (n, m), value in CHI_TABLE.items():
             if m <= 4:
                 assert table.cells[n][m - 1] == LaurentPoly.const(value)
 
     def test_y0_cells(self):
-        table = build_table("y0", RunConfig(max_n=8))
+        table = build_table("y0", max_n=8)
         for n, cell in enumerate(Y0_TABLE):
             assert table.cells[n][0] == P(cell)
 
     def test_hnnr_cells(self):
-        table = build_table("hnnr", RunConfig(max_n=6, max_r=3))
+        table = build_table("hnnr", max_n=6, max_r=3)
         assert table.cells[1][0] == P("t^2+t")
         assert table.cells[1][1] == LaurentPoly.one()  # (n, r) = (1, 2)
 
     def test_max_m_clamped_with_warning(self, capsys):
-        table = build_table("bm", RunConfig(max_n=4, max_m=9))
+        table = build_table("bm", max_n=4, max_m=9)
         assert table.col_labels == ["m=1", "m=2", "m=3"]
         assert "clamping" in capsys.readouterr().err
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            build_table("bm", RunConfig(max_n=-1))
+            build_table("bm", max_n=-1)
         with pytest.raises(ValueError):
-            build_table("bm", RunConfig(fmt="yaml"))
+            build_table("bm", max_n=4, max_m=0)
         with pytest.raises(ValueError):
-            build_table("nope", RunConfig())
+            build_table("hnnr", max_n=4, max_r=0)
+        with pytest.raises(ValueError):
+            build_table("nope", max_n=14)
+        with pytest.raises(ValueError) as err:
+            render(build_table("bm", max_n=3), "yaml")
+        assert str(FORMATS) in str(err.value)
 
 
 class TestRenderers:
     def test_latex_cell_style(self):
-        table = build_table("bm", RunConfig(max_n=5, max_m=2))
+        table = build_table("bm", max_n=5, max_m=2)
         text = render_latex(table)
         assert "$t^4+2 t^3-t$" in text
         assert text.startswith(r"\begin{tabular}")
 
     def test_csv_round_trip(self):
-        table = build_table("bm", RunConfig(max_n=10, max_m=4))
+        table = build_table("bm", max_n=10, max_m=4)
         back = table_from_csv(render_csv(table), "bm")
         assert back.rows == table.rows
         assert back.col_labels == table.col_labels
         assert back.cells == table.cells
 
     def test_json_round_trip(self):
-        table = build_table("hm", RunConfig(max_n=8, max_m=3))
+        table = build_table("hm", max_n=8, max_m=3)
         back = table_from_json(render_json(table))
         assert back.kind == "hm"
         assert back.rows == table.rows
         assert back.cells == table.cells
 
     def test_output_is_deterministic(self):
-        cfg = RunConfig(max_n=9, max_m=3)
-        assert render_csv(build_table("bm", cfg)) == render_csv(build_table("bm", cfg))
+        assert (render_csv(build_table("bm", max_n=9, max_m=3))
+                == render_csv(build_table("bm", max_n=9, max_m=3)))
 
 
 class TestSeriesCache:
@@ -104,7 +109,7 @@ class TestSeriesCache:
             calls.append(order)
             return series_Y0(order)
 
-        cache = SeriesCache(tmp_path, rng=random.Random(1))
+        cache = SeriesCache(tmp_path)
         first = cache.get("epoly_Y0", {}, 6, builder)
         assert calls == [6]
         again = cache.get("epoly_Y0", {}, 6, builder)
@@ -113,7 +118,7 @@ class TestSeriesCache:
         assert len(calls) == 2 and calls[1] <= 6
 
     def test_corrupted_payload_recomputed(self, tmp_path, capsys):
-        cache = SeriesCache(tmp_path, rng=random.Random(1))
+        cache = SeriesCache(tmp_path)
         cache.get("epoly_Y0", {}, 5, series_Y0)
         victim = next(tmp_path.glob("*.json"))
         victim.write_text("{ not json")
@@ -122,7 +127,7 @@ class TestSeriesCache:
         assert "recomputing" in capsys.readouterr().err
 
     def test_stale_coefficients_detected(self, tmp_path, capsys):
-        cache = SeriesCache(tmp_path, rng=random.Random(1))
+        cache = SeriesCache(tmp_path)
         cache.get("epoly_Y0", {}, 5, series_Y0)
         victim = next(tmp_path.glob("*.json"))
         payload = json.loads(victim.read_text())
@@ -134,7 +139,7 @@ class TestSeriesCache:
         assert "stale coefficient" in capsys.readouterr().err
 
     def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
-        cache = SeriesCache(tmp_path, rng=random.Random(1))
+        cache = SeriesCache(tmp_path)
         cache.get("epoly_Y0", {}, 5, series_Y0)
         victim = next(tmp_path.glob("*.json"))
         victim.write_text("{ not json")  # forces a rewrite on the next get
@@ -151,7 +156,7 @@ class TestSeriesCache:
     def test_distinct_params_distinct_entries(self, tmp_path):
         from hilbstrata.strata import chi_series
 
-        cache = SeriesCache(tmp_path, rng=random.Random(0))
+        cache = SeriesCache(tmp_path)
         a = cache.get("chi_B_stratum", {"m": 2}, 6, lambda k: chi_series(2, k))
         b = cache.get("chi_B_stratum", {"m": 3}, 6, lambda k: chi_series(3, k))
         assert a != b
@@ -182,21 +187,29 @@ class TestCli:
     def test_csv_reparse_equals_fresh_computation(self):
         res = run_cli("table", "bm", "--max-n", "12", "--format", "csv")
         parsed = table_from_csv(res.stdout, "bm")
-        fresh = build_table("bm", RunConfig(max_n=12))
+        fresh = build_table("bm", max_n=12)
         assert parsed.cells == fresh.cells
 
     def test_json_reparse_equals_fresh_computation(self):
         res = run_cli("table", "hnnr", "--max-n", "8", "--max-r", "3",
                       "--format", "json")
         parsed = table_from_json(res.stdout)
-        fresh = build_table("hnnr", RunConfig(max_n=8, max_r=3))
+        fresh = build_table("hnnr", max_n=8, max_r=3)
         assert parsed.cells == fresh.cells
 
     def test_usage_errors_exit_2(self):
         assert run_cli("table", "nope").returncode == 2
         assert run_cli("table", "bm", "--format", "yaml").returncode == 2
-        assert run_cli("table", "bm", "--max-n", "-3").returncode == 2
         assert run_cli("frobnicate").returncode == 2
+        for args, message in (
+            (("bm", "--max-n", "-3"), "max_n must be >= 0"),
+            (("bm", "--max-m", "0"), "max_m must be >= 1"),
+            (("hnnr", "--max-r", "0"), "max_r must be >= 1"),
+        ):
+            res = run_cli("table", *args)
+            assert res.returncode == 2, args
+            assert res.stderr.endswith(f"hilbstrata: error: {message}\n"), args
+            assert not res.stdout
 
     def test_verify_fast_passes_within_budget(self):
         import time
@@ -257,7 +270,7 @@ class TestCli:
 
         cache = SeriesCache(tmp_path)
         for kind in TABLE_KINDS:
-            build_table(kind, RunConfig(max_n=6, max_r=2), cache)
+            build_table(kind, max_n=6, max_r=2, cache=cache)
         files = sorted(tmp_path.glob("*.json"))
         assert any(f.name.startswith("epoly_H_stratum") for f in files)
         assert any(f.name.startswith("chi_B_stratum") for f in files)
