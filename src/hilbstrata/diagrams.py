@@ -58,11 +58,6 @@ def boxes(parts: Partition) -> Iterator[Box]:
             yield (a, b)
 
 
-def contains(parts: Partition, box: Box) -> bool:
-    a, b = box
-    return 1 <= b <= len(parts) and 1 <= a <= parts[b - 1]
-
-
 def elbows(parts: Partition) -> list[Box]:
     """Removable corner boxes, one per distinct part value, in ascending row order."""
     out = []
@@ -130,13 +125,12 @@ class MarkedDiagram:
 
 
 def q_boxes(md: MarkedDiagram) -> set[Box]:
-    """Crossing boxes of mark pairs: (a, d) for marks (a, b), (c, d) with a<c, d<b."""
-    out: set[Box] = set()
-    for (a, b), (c, d) in combinations(sorted(md.marks), 2):
-        # marks sit in distinct columns and rows, so a < c forces d < b
-        if a < c and d < b and contains(md.parts, (a, d)):
-            out.add((a, d))
-    return out
+    """Crossing boxes of mark pairs: (a, d) for marks (a, b), (c, d) with a < c.
+
+    Marks are elbows, so they lie in distinct rows and columns and a < c
+    forces d < b: the box (a, d) lies under the mark (a, b), inside the diagram.
+    """
+    return {(a, d) for (a, _), (_, d) in combinations(sorted(md.marks), 2)}
 
 
 def enumerate_marked(n: int, r: int) -> list[MarkedDiagram]:
@@ -148,6 +142,8 @@ def enumerate_marked(n: int, r: int) -> list[MarkedDiagram]:
     """
     if n < 0 or r < 0:
         raise ValueError("n and r must be >= 0")
+    if n < comb(r, 2):
+        return []
     out = []
     for parts in partitions_of(n + r):
         for chosen in combinations(elbows(parts), r):

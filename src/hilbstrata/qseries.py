@@ -228,10 +228,9 @@ def series_Hnnr_rows(max_r: int, order: int) -> Iterator[QSeries]:
 
 
 def series_Y0(order: int) -> QSeries:
-    """E-polynomial generating function for points on the punctured plane."""
-    factors = [(d - 1, d, 1) for d in range(1, order + 1)]
-    factors += [(d + 1, d, -1) for d in range(1, order + 1)]
-    return product_factors(factors, order)
+    """E-polynomial generating function for points on the punctured plane:
+    series_Y0_dual's factors with each power negated."""
+    return product_factors(((t, q, -p) for t, q, p in y0_dual_factors(order)), order)
 
 
 def y0_dual_factors(order: int) -> list[tuple[int, int, int]]:

@@ -15,17 +15,16 @@ series_Hnnr_rows advances one running product by a factor per r for
 both series_Hnnr and build_R, and B_m is X_m times the
 (1 - t^a q^b)^{+-1} factors of series_Y0_dual, applied as factor steps.
 
-Closed forms: the same X and B columns come from explicit q-series,
+Closed forms: with c_{m,a} = (-1)^{a+1} gauss(m,a) (t^{-1}+...+t^{-a}) t^{C(a,2)+m}
+(the k = 0 factor of the paper's products folded in), the numerators
+N_a = prod_{k>=1} (1 - t^{k-a} q^k) and S_m = sum_{a=1}^m c_{m,a} N_a,
 
-    sum_n E(B^[n]_m) q^n = prod_{i<m} 1/(1-t^{i+1})
-        * sum_{a=1}^m (-1)^{a+1} t^{C(a,2)+m-1} gauss(m,a)
-                      * prod_{k>=0} (1 - q^k t^{k-a})/(1 - q^k t^{k-1})
+    sum_n E(B^[n]_m) q^n = S_m / prod_{i<m}(1-t^{i+1}) * prod_{k>=1} 1/(1-t^{k-1} q^k)
+    sum_n E(H^[n]_m) q^n = S_m / prod_{i<m}(1-t^{i+1}) * prod_{k>=1} 1/(1-t^{k+1} q^k)
 
-and the analogous sum with shifted signs/exponents for the H strata.
-The denominator does not depend on a: the a-sum of scaled numerators
-is formed first, and the denominator is applied to it once, again as
-factor steps.  Neither route forms a Cauchy product of two series; both
-run on the factor steps of qseries and the Laurent kernel under them.
+The families differ only in the q-denominator, the factors of
+series_poincare_H for B and of series_H for X, applied once to S_m as
+factor steps.  Neither route forms a Cauchy product of two series.
 
 Every entry is checked across both routes, against the fixed-point
 enumeration of diagrams, and against the Euler-characteristic series.
@@ -112,55 +111,45 @@ def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
 
 
 def closed_form_B(m: int, order: int) -> QSeries:
-    """Closed-form generating function of E(B^[n]_m), exact to the order.
+    """Closed-form generating function of E(B^[n]_m), exact to the order:
+    S_m times series_poincare_H's factors (see the module docstring).
 
-    The denominator prod_{k>=1} 1/(1 - t^{k-1} q^k) does not depend on
-    the summation index a, so the a-sum of scaled numerators
-    prod_{k>=1} (1 - t^{k-a} q^k) (each built once per (a, order) and
-    shared by every column and by closed_form_X) is formed first and the
-    denominator is applied to it once, as factor steps.  Each
-    q-coefficient is then divided exactly by prod_{i=1}^{m-1}(1 - t^{i+1});
-    any residue of negative t-powers raises, since the strata
-    E-polynomials are honest polynomials.
+    Each q-coefficient is divided exactly by prod_{i<m}(1 - t^{i+1}); a
+    residue of negative t-powers raises, since the strata E-polynomials
+    are honest polynomials.
     """
-    return _closed_form(m, order, sign_offset=1, t_offset=m - 1, denom_shift=-1)
+    return _closed_form(m, order, denom_shift=-1)
 
 
 def closed_form_X(m: int, order: int) -> QSeries:
-    """Closed-form generating function of E(H^[n]_m); see closed_form_B."""
-    return _closed_form(m, order, sign_offset=0, t_offset=m, denom_shift=+1)
+    """Closed-form generating function of E(H^[n]_m): S_m times series_H's
+    factors; see closed_form_B."""
+    return _closed_form(m, order, denom_shift=+1)
 
 
 @lru_cache(maxsize=None)
 def _numerator(a: int, order: int) -> QSeries:
-    """prod_{k>=1} (1 - t^{k-a} q^k), truncated; shared, so never mutate it."""
+    """N_a = prod_{k>=1} (1 - t^{k-a} q^k), truncated; shared, so never mutate it."""
     return product_factors(((k - a, k, 1) for k in range(1, order + 1)), order)
 
 
-def _closed_form(
-    m: int, order: int, sign_offset: int, t_offset: int, denom_shift: int
-) -> QSeries:
+def _closed_form(m: int, order: int, denom_shift: int) -> QSeries:
     if m < 1:
         raise ValueError("m must be >= 1")
     total = QSeries.zero(order)
     for a in range(1, m + 1):
-        # k = 0 factor (1 - t^{-a}) / (1 - t^{denom_shift_at_0}), an exact Laurent scalar
-        k0 = (ONE - LaurentPoly.t_power(-a)).exact_div(
-            ONE - LaurentPoly.t_power(-1 if denom_shift == -1 else 1)
-        )
-        scalar = gauss_binomial(m, a) * k0
-        scalar = scalar.shift(comb(a, 2) + t_offset)
-        if (a + sign_offset) % 2:
-            scalar = -scalar
+        # c_{m,a} = (-1)^{a+1} gauss(m, a) (t^{-1} + ... + t^{-a}) t^{C(a,2)+m}
+        sign = 1 if a % 2 else -1
+        scalar = gauss_binomial(m, a) * LaurentPoly(
+            (comb(a, 2) + m - j, sign) for j in range(1, a + 1))
         total = total + _numerator(a, order).scale(scalar)
-    # the a-independent denominator prod_{k>=1} 1/(1 - t^{k+denom_shift} q^k)
     total = times_factors(total, ((k + denom_shift, k, -1) for k in range(1, order + 1)))
     prefactor = ONE
     for i in range(1, m):
         prefactor = prefactor * (ONE - LaurentPoly.t_power(i + 1))
     out = []
-    for n in range(order + 1):
-        c = total.coeff(n).exact_div(prefactor) if total.coeff(n) else ZERO
+    for n, coeff in enumerate(total.coeffs):
+        c = coeff.exact_div(prefactor)
         if not c.is_polynomial():
             raise NonPolynomialCoefficientError(
                 f"coefficient of q^{n} at m={m} kept negative t-powers: {c}"

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from hilbstrata import diagrams
 from hilbstrata.diagrams import (
     MarkedDiagram,
     alpha,
@@ -20,7 +21,7 @@ from hilbstrata.diagrams import (
     remove_boxes,
     tangent_character,
 )
-from hilbstrata.laurent import LaurentPoly
+from hilbstrata.laurent import ZERO, LaurentPoly
 from hilbstrata.qseries import series_H, series_Hnnr
 
 P = LaurentPoly.from_string
@@ -114,6 +115,14 @@ class TestMarkedDiagrams:
     def test_empty_below_threshold(self):
         assert enumerate_marked(2, 3) == []
 
+    def test_below_threshold_enumerates_nothing(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"partitions_of({n}) called below the threshold")
+
+        monkeypatch.setattr(diagrams, "partitions_of", refuse)
+        assert enumerate_marked(2, 3) == []
+        assert e_poly_Hnnr_fixed(8, 30) == ZERO
+
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_emptiness_iff_threshold(self, r):
         for n in range(10):
@@ -194,6 +203,17 @@ class TestAlpha:
                 for md in enumerate_marked(n, r):
                     a = alpha(tangent_character(md))
                     assert 0 <= a <= dim
+
+    def test_alpha_is_cell_dimension(self):
+        # the n - C(r,2) first weights (-arm_J, leg_I + 1) are all positive; a
+        # second weight is positive exactly at a column top of J.  J has
+        # lambda_1 column tops; the r marks are among them and are skipped,
+        # and no crossing box is one, since each lies under a mark.
+        for n in range(13):
+            for r in range(5):
+                for md in enumerate_marked(n, r):
+                    lambda_1 = md.parts[0] if md.parts else 0
+                    assert alpha(tangent_character(md)) == n - comb(r, 2) - r + lambda_1
 
 
 class TestFixedPointEPolys:
