@@ -14,7 +14,7 @@ import time
 from hilbstrata import verify_all
 
 start = time.perf_counter()
-report = verify_all(order=14, fp_max_r=4, fp_max_n=10, identity_order=12)
+report = verify_all(order=14, fp_max_r=4, identity_order=12)
 print(report)
 print(f"\n({time.perf_counter() - start:.2f}s)")
 raise SystemExit(0 if report.passed else 1)

@@ -60,15 +60,9 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.level == "full":
-        order, fp_r, fp_n, id_order = 14, 4, 10, 12
-    else:
-        order, fp_r, fp_n, id_order = 8, 3, 8, 8
-    if args.max_n is not None:
-        order = args.max_n
-        fp_n = min(fp_n, order)
-    if args.max_r is not None:
-        fp_r = args.max_r
+    order, fp_r, id_order = (14, 4, 12) if args.level == "full" else (8, 3, 8)
+    order = order if args.max_n is None else args.max_n
+    fp_r = fp_r if args.max_r is None else args.max_r
     if order < 0:
         parser.error("--max-n must be >= 0")
     if fp_r < 1:
@@ -79,9 +73,7 @@ def cmd_verify(args, parser) -> int:
         cache = SeriesCache(args.cache_dir)
         for kind in TABLE_KINDS:
             build_table(kind, order, max_r=fp_r, cache=cache)
-    report = strata.verify_all(
-        order, fp_max_r=fp_r, fp_max_n=fp_n, identity_order=id_order,
-    )
+    report = strata.verify_all(order, fp_max_r=fp_r, identity_order=id_order)
     if report.passed:
         print(report)
         return 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly
@@ -60,11 +60,7 @@ def boxes(parts: Partition) -> Iterator[Box]:
 
 def elbows(parts: Partition) -> list[Box]:
     """Removable corner boxes, one per distinct part value, in ascending row order."""
-    out = []
-    for b in range(1, len(parts) + 1):
-        if b == len(parts) or parts[b - 1] > parts[b]:
-            out.append((parts[b - 1], b))
-    return out
+    return [(p, b) for b, p in enumerate(parts, 1) if b == len(parts) or p > parts[b]]
 
 
 def mu_of_partition(parts: Partition) -> int:
@@ -185,15 +181,20 @@ def alpha(weights: WeightList) -> int:
 
 
 def e_poly_Hnnr_fixed(n: int, r: int) -> LaurentPoly:
-    """E-polynomial of H^[n, n+r] as the fixed-point sum of t^alpha(p).
+    """E-polynomial of H^[n, n+r]: the sum of t^alpha over its fixed points, from the census.
 
-    With r = 0 this is the cell-count formula for E(H^[n]).
+    A partition lambda of n + r carries C(e(lambda), r) fixed points (r of its
+    e(lambda) elbows marked), each with alpha = n - C(r,2) - r + lambda_1
+    (Ellingsrud-Stromme, Invent. Math. 87, 1987).  With r = 0 this is E(H^[n]).
     """
-    acc: dict[int, int] = {}
-    for md in enumerate_marked(n, r):
-        a = alpha(tangent_character(md))
-        acc[a] = acc.get(a, 0) + 1
-    return LaurentPoly(acc)
+    if n < 0 or r < 0:
+        raise ValueError("n and r must be >= 0")
+    if n < comb(r, 2):
+        return LaurentPoly()
+    # weights[k] sums over the partitions with parts <= k; a difference keeps lambda_1 = k
+    weights = [sum(comb(e, r) * c for e, c in enumerate(row)) for row in _census(n + r)]
+    base = n - comb(r, 2) - r
+    return LaurentPoly((base + k, w - v) for k, (w, v) in enumerate(zip(weights, [0] + weights)))
 
 
 def e_poly_Bnnr_fixed(n: int, r: int) -> LaurentPoly:
@@ -208,23 +209,31 @@ def mu_max(n: int) -> int:
     """Largest possible generator count on H^[n]: max k with C(k, 2) <= n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    k = 1
-    while comb(k + 1, 2) <= n:
-        k += 1
-    return k
+    return (1 + isqrt(8 * n + 1)) // 2
 
 
 @lru_cache(maxsize=None)
-def _mu_census(n: int) -> dict[int, int]:
-    census: dict[int, int] = {}
-    for parts in _gen_partitions(n, n):
-        m = mu_of_partition(parts)
-        census[m] = census.get(m, 0) + 1
-    return census
+def _census(n: int) -> list[list[int]]:
+    """Row k, entry e: the partitions of n with parts <= k and e distinct part values.
+
+    Largest part k is c >= 1 copies of k over a partition of n - c*k with
+    parts < k.  Rest sizes ascend from k = 1 on, so each smaller census is
+    built before it is read and the recursion stays two calls deep; shared, never mutate.
+    """
+    width = mu_max(n)  # a partition of n has at most mu_max(n) - 1 distinct parts
+    rows = [[int(n == 0)] + [0] * (width - 1)]
+    for k in range(1, n + 1):
+        row = rows[-1].copy()
+        for rest in range(n % k, n - k + 1, k):
+            # entries past width - 1 are zero: k on top would need too many distinct parts
+            for e, count in enumerate(_census(rest)[min(k - 1, rest)][: width - 1], 1):
+                row[e] += count
+        rows.append(row)
+    return rows
 
 
 def count_partitions_with_mu(n: int, m: int) -> int:
-    """Number of partitions of n whose diagram has exactly m addable corners."""
+    """Number of partitions of n with m addable corners, that is m - 1 distinct part values."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _mu_census(n).get(m, 0)
+    return _census(n)[-1][m - 1] if m <= mu_max(n) else 0  # mu_max raises for n < 0

@@ -44,10 +44,12 @@ class QSeries:
 
     @classmethod
     def one(cls, order: int) -> QSeries:
-        return cls([ONE] + [ZERO] * order)
+        return cls([ONE] + cls.zero(order).coeffs[1:])
 
     @classmethod
     def zero(cls, order: int) -> QSeries:
+        if order < 0:
+            raise ValueError("order must be >= 0")
         return cls([ZERO] * (order + 1))
 
     def coeff(self, n: int) -> LaurentPoly:

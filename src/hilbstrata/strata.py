@@ -27,7 +27,7 @@ series_poincare_H for B and of series_H for X, applied once to S_m as
 factor steps.  Neither route forms a Cauchy product of two series.
 
 Every entry is checked across both routes, against the fixed-point
-enumeration of diagrams, and against the Euler-characteristic series.
+census of partitions, and against the Euler-characteristic series.
 """
 
 from __future__ import annotations
@@ -285,19 +285,15 @@ def convolution_cells(
 def verify_all(
     order: int,
     fp_max_r: int = 3,
-    fp_max_n: int | None = None,
     identity_order: int = 12,
 ) -> VerificationReport:
     """Run every internal identity and cross-pipeline check at the given order.
 
-    fp_max_r / fp_max_n bound the (slower) fixed-point enumeration used
-    to re-derive R; identity_order sizes the pure series identity
-    checks, independently of the table order.  A check that compares no
-    cell fails.
+    The fixed-point check compares the partition-census sums with the rows
+    of R for every r <= fp_max_r and n <= order; identity_order sizes the
+    pure series identity checks, independently of the table order.  A
+    check that compares no cell fails.
     """
-    if fp_max_n is None:
-        fp_max_n = order
-    fp_max_n = min(fp_max_n, order)
     checks: list[CheckResult] = []
 
     def run(name: str, comparisons: Iterable[Comparison]):
@@ -331,11 +327,10 @@ def verify_all(
         for m in family.rows
     ))
 
-    # fixed points against the series
-    run("fixed-point sums == product series", chain.from_iterable(
-        series_cells([r], QSeries([e_poly_Hnnr_fixed(n, r) for n in range(fp_max_n + 1)]),
-                     qseries.series_Hnnr(r, fp_max_n))
-        for r in range(1, fp_max_r + 1)
+    # fixed points against R; for r > top both sides vanish, since C(r, 2) > order
+    run("fixed-point sums == product series", (
+        ([r, n], e_poly_Hnnr_fixed(n, r), r_ser.get(r, n))
+        for r in range(1, fp_max_r + 1) for n in range(order + 1)
     ))
 
     # Euler characteristics three ways: chi coefficients must be the

@@ -22,7 +22,7 @@ from hilbstrata.diagrams import (
     tangent_character,
 )
 from hilbstrata.laurent import ZERO, LaurentPoly
-from hilbstrata.qseries import series_H, series_Hnnr
+from hilbstrata.qseries import series_H, series_Hnnr, series_Hnnr_rows
 
 P = LaurentPoly.from_string
 
@@ -242,6 +242,38 @@ class TestFixedPointEPolys:
                 p = e_poly_Bnnr_fixed(n, r)
                 assert p.is_polynomial()
 
+    def test_rejects_negative_arguments(self):
+        for n, r in ((-1, 0), (0, -1), (-2, 3)):
+            with pytest.raises(ValueError):
+                e_poly_Hnnr_fixed(n, r)
+
+    def test_census_equals_tangent_weight_sum(self):
+        # the per-fixed-point reference: one t^alpha per marked diagram
+        for n in range(13):
+            for r in range(5):
+                acc = {}
+                for md in enumerate_marked(n, r):
+                    a = alpha(tangent_character(md))
+                    acc[a] = acc.get(a, 0) + 1
+                assert e_poly_Hnnr_fixed(n, r) == LaurentPoly(acc), (n, r)
+
+    def test_census_equals_series_rows(self):
+        rows = list(series_Hnnr_rows(6, 60))
+        for r, row in enumerate(rows, 1):
+            for n in range(61):
+                assert e_poly_Hnnr_fixed(n, r) == row.coeff(n), (n, r)
+
+    def test_census_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the census enumerated diagrams or partitions")
+
+        for name in ("enumerate_marked", "tangent_character", "partitions_of",
+                     "_gen_partitions"):
+            monkeypatch.setattr(diagrams, name, refuse)
+        diagrams._census.cache_clear()
+        assert e_poly_Hnnr_fixed(5, 2) == series_Hnnr(2, 5).coeff(5)
+        assert count_partitions_with_mu(9, 3) == 17
+
 
 class TestMuCensus:
     def test_examples(self):
@@ -258,3 +290,19 @@ class TestMuCensus:
                 count_partitions_with_mu(n, m) for m in range(1, mu_max(n) + 1)
             )
             assert total == partition_count(n)
+
+    def test_matches_partition_enumeration(self):
+        for n in range(21):
+            by_mu = {}
+            for parts in partitions_of(n):
+                m = mu_of_partition(parts)
+                by_mu[m] = by_mu.get(m, 0) + 1
+            for m in range(1, mu_max(n) + 3):
+                assert count_partitions_with_mu(n, m) == by_mu.get(m, 0), (n, m)
+
+    def test_total_at_sixty(self):
+        assert sum(count_partitions_with_mu(60, m) for m in range(1, 12)) == 966467
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            count_partitions_with_mu(-1, 1)

@@ -194,6 +194,12 @@ class TestNamedSeries:
         assert s.order == 4
         assert all(c.is_zero() for c in s.coeffs)
 
+    def test_negative_order_rejected(self):
+        for build in (lambda: series_H(-1), lambda: series_Hnnr(2, -1),
+                      lambda: QSeries.one(-2), lambda: QSeries.zero(-1)):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                build()
+
     def test_shift_q_beyond_order(self):
         s = series_H(3).shift_q(7)
         assert s == QSeries.zero(3)

@@ -278,7 +278,7 @@ class TestChi:
 
 class TestVerifyAll:
     def test_small_order_passes(self):
-        report = verify_all(6, fp_max_r=3, fp_max_n=6, identity_order=6)
+        report = verify_all(6, fp_max_r=3, identity_order=6)
         assert report.passed
         assert {c.name for c in report.checks} >= {
             "G * Ginv == I",
@@ -287,7 +287,7 @@ class TestVerifyAll:
         }
 
     def test_order_zero_trivially_passes(self):
-        report = verify_all(0, fp_max_r=1, fp_max_n=0, identity_order=1)
+        report = verify_all(0, fp_max_r=1, identity_order=1)
         assert report.passed
         assert all(c.cells_compared > 0 for c in report.checks)
 
@@ -319,7 +319,7 @@ class TestVerifyAll:
             return s
 
         monkeypatch.setattr(qseries, "series_Y0_dual", corrupted)
-        report = verify_all(4, fp_max_r=2, fp_max_n=4, identity_order=4)
+        report = verify_all(4, fp_max_r=2, identity_order=4)
         failed = {c.name: c.failures for c in report.checks if not c.passed}
         assert list(failed) == ["A * Ainv == I"]
         assert failed["A * Ainv == I"][0] == [2]
@@ -336,8 +336,15 @@ class TestVerifyAll:
         assert "[FAIL] nothing compared (0 cells)" in str(report)
         assert "all identities hold" not in str(report)
 
+    def test_fixed_point_check_covers_every_n(self):
+        report = verify_all(14, fp_max_r=4, identity_order=12)
+        check = next(c for c in report.checks
+                     if c.name == "fixed-point sums == product series")
+        assert check.passed
+        assert check.cells_compared == 4 * 15  # r <= 4, n <= 14
+
     def test_report_serializes(self):
-        report = verify_all(4, fp_max_r=2, fp_max_n=4, identity_order=4)
+        report = verify_all(4, fp_max_r=2, identity_order=4)
         obj = report.to_json()
         assert obj["passed"] is True
         assert all("name" in c and "failures" in c for c in obj["checks"])
@@ -358,3 +365,7 @@ class TestErrorPaths:
             chi_series(0, 5)
         with pytest.raises(ValueError):
             build_R(0, 5)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            closed_form_B(1, -1)

@@ -1,8 +1,10 @@
 """Table assembly, rendering round trips, the series cache and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,13 @@ from reference_data import B_TABLE, CHI_TABLE, Y0_TABLE
 P = LaurentPoly.from_string
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, env=None):
+    """Run the CLI in a subprocess that imports the package from src/."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hilbstrata", *args],
         capture_output=True,
@@ -225,6 +233,12 @@ class TestCli:
         res = run_cli("verify", "--level", "full")
         assert res.returncode == 0
         assert "all identities hold" in res.stdout
+
+    def test_verify_full_fixed_point_cells(self, capsys):
+        from hilbstrata.cli import main
+
+        assert main(["verify", "--level", "full"]) == 0
+        assert "[ok  ] fixed-point sums == product series (60 cells)" in capsys.readouterr().out
 
     def test_verify_rejects_max_r_below_one(self):
         # a fixed-point check over no nesting level would compare nothing
