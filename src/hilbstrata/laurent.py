@@ -13,9 +13,9 @@ LaurentPoly values.  No floating point anywhere.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 
 class InexactDivisionError(ArithmeticError):

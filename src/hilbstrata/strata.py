@@ -26,6 +26,18 @@ The families differ only in the q-denominator, the factors of
 series_poincare_H for B and of series_H for X, applied once to S_m as
 factor steps.  Neither route forms a Cauchy product of two series.
 
+The two routes run on different arithmetic: the matrix pipeline on
+LaurentPoly, the closed forms on packed ints (module packed, t -> 2^K),
+where a factor step is one shift-and-add, scaling by c_{m,a} one int
+multiply and the division by prod_{i<m}(1 - t^{i+1}) one exact divmod.
+Unpacking is exact when every final coefficient c has |c| < 2^{K-1}, so
+K is one bit more than a bound proven at t = 1 with plain ints:
+|X_m(n)|_1 <= sum_k C(k, m) R_k(n)|_{t=1}, and B_m = X_m * series_Y0_dual
+adds a convolution with prod_d (1 + q^d)/(1 - q^d).  N_a's q^n
+coefficient has t-powers >= n - a l(n), l(n) the largest number of
+distinct parts of n, which gives the floors.  A shift that would drop a
+nonzero bit and a division that leaves a remainder both raise.
+
 Every entry is checked across both routes, against the fixed-point
 census of partitions, and against the Euler-characteristic series.
 """
@@ -34,15 +46,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from math import comb
 from typing import Iterable, Iterator
 
-from . import qseries
-from .diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
+from . import packed, qseries
+from .diagrams import (
+    count_partitions_with_mu, e_poly_Bnnr_fixed, e_poly_Hnnr_fixed, mu_max)
 from .laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from .qseries import QSeries, product_factors, times_factors
+from .qseries import QSeries, times_factors
 
 
 class NonPolynomialCoefficientError(ArithmeticError):
@@ -127,29 +139,13 @@ def closed_form_X(m: int, order: int) -> QSeries:
     return _closed_form(m, order, denom_shift=+1)
 
 
-@lru_cache(maxsize=None)
-def _numerator(a: int, order: int) -> QSeries:
-    """N_a = prod_{k>=1} (1 - t^{k-a} q^k), truncated; shared, so never mutate it."""
-    return product_factors(((k - a, k, 1) for k in range(1, order + 1)), order)
-
-
 def _closed_form(m: int, order: int, denom_shift: int) -> QSeries:
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = QSeries.zero(order)
-    for a in range(1, m + 1):
-        # c_{m,a} = (-1)^{a+1} gauss(m, a) (t^{-1} + ... + t^{-a}) t^{C(a,2)+m}
-        sign = 1 if a % 2 else -1
-        scalar = gauss_binomial(m, a) * LaurentPoly(
-            (comb(a, 2) + m - j, sign) for j in range(1, a + 1))
-        total = total + _numerator(a, order).scale(scalar)
-    total = times_factors(total, ((k + denom_shift, k, -1) for k in range(1, order + 1)))
-    prefactor = ONE
-    for i in range(1, m):
-        prefactor = prefactor * (ONE - LaurentPoly.t_power(i + 1))
+    if order < 0:
+        raise ValueError("order must be >= 0")
     out = []
-    for n, coeff in enumerate(total.coeffs):
-        c = coeff.exact_div(prefactor)
+    for n, c in enumerate(packed.closed_form_coeffs(m, order, denom_shift)):
         if not c.is_polynomial():
             raise NonPolynomialCoefficientError(
                 f"coefficient of q^{n} at m={m} kept negative t-powers: {c}"
@@ -282,6 +278,23 @@ def convolution_cells(
         yield from series_cells([m], b_matrix.rows[m] * y0, want)
 
 
+def census_column_cells(
+    x_matrix: StrataMatrix, b_matrix: StrataMatrix, order: int
+) -> Iterator[Comparison]:
+    """Cells (n, family) of the column sums against the partition census:
+    sum_m E(B^[n]_m) == sum_{l |- n} t^{n-len(l)} and
+    sum_m E(H^[n]_m) == sum_{l |- n} t^{n+len(l)} (Ellingsrud-Stromme).
+
+    By conjugation, counting partitions by number of parts is counting
+    them by largest part, which is what the census keeps: the sums are
+    the r = 0 fixed-point sums e_poly_Bnnr_fixed(n, 0), e_poly_Hnnr_fixed(n, 0).
+    """
+    for n in range(order + 1):
+        for tag, family, want in (("B", b_matrix, e_poly_Bnnr_fixed(n, 0)),
+                                  ("X", x_matrix, e_poly_Hnnr_fixed(n, 0))):
+            yield [n, tag], sum((family.get(m, n) for m in family.rows), ZERO), want
+
+
 def verify_all(
     order: int,
     fp_max_r: int = 3,
@@ -348,6 +361,8 @@ def verify_all(
     # column sums against the full Hilbert scheme series
     run("sum_m X[m][n] == E(H^[n])", series_cells(
         [], sum(x.rows.values(), QSeries.zero(order)), qseries.series_H(order)))
+    run("sum_m B[m][n], sum_m X[m][n] == partition census",
+        census_column_cells(x, b, order))
 
     # q-binomial resummation lemma and the Euler identity
     run("binomial resummation lemma", (

@@ -1,18 +1,20 @@
 """Matrix pipeline, closed forms, Euler characteristics, verification suite."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from hilbstrata.diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
-from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from hilbstrata import qseries
+from hilbstrata.laurent import ONE, ZERO, InexactDivisionError, LaurentPoly, gauss_binomial
+from hilbstrata import packed, qseries, strata
 from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0, series_Y0_dual
 from hilbstrata.strata import (
     CheckResult,
     NonPolynomialCoefficientError,
     VerificationReport,
     build_R,
+    census_column_cells,
     chi_series,
     closed_form_B,
     closed_form_X,
@@ -239,6 +241,83 @@ class TestOrder30:
                 assert b.get(m, n).eval_at_one() == count_partitions_with_mu(n, m), (m, n)
 
 
+class TestPackedKernel:
+    """The closed forms run on packed ints (t -> 2^K), the matrix pipeline
+    on LaurentPoly: these pin the packed kernel against the other one."""
+
+    @pytest.fixture(scope="class")
+    def pipeline48(self):
+        x = compute_X(48)
+        return x, compute_B(48, x_matrix=x)
+
+    @pytest.mark.parametrize("order", [14, 30, 48])
+    def test_closed_forms_equal_matrix_pipeline(self, pipeline48, order):
+        x, b = pipeline48
+        for m in range(1, mu_max(order) + 2):  # one column past the top is zero
+            cb = closed_form_B(m, order)
+            cx = closed_form_X(m, order)
+            for n in range(order + 1):
+                assert cb.coeff(n) == b.get(m, n), ("B", m, n)
+                assert cx.coeff(n) == x.get(m, n), ("X", m, n)
+
+    def test_order_zero_and_columns_past_the_top(self):
+        for closed_form in (closed_form_B, closed_form_X):
+            assert closed_form(1, 0) == QSeries.one(0)
+            for order in range(6):
+                for m in range(mu_max(order) + 1, mu_max(order) + 4):
+                    assert closed_form(m, order) == QSeries.zero(order), (order, m)
+
+    def test_packed_ints_are_the_rows_at_t_equal_two(self, pipeline48):
+        # K = 1 packs at t = 2: before unpacking, the ints are E_n(2) 2^{-L_n}
+        x, b = pipeline48
+        for order in range(31):
+            for denom_shift, family in ((-1, b), (1, x)):
+                for m in range(1, mu_max(order) + 1):
+                    floors, values = packed.packed_column(m, order, denom_shift, 1)
+                    for n in range(order + 1):
+                        want = family.get(m, n).eval_fraction(2) * Fraction(2) ** -floors[n]
+                        assert values[n] == want, (order, denom_shift, m, n)
+
+    def test_digit_bits_bound_every_coefficient(self, pipeline48):
+        x, b = pipeline48
+        for denom_shift, family in ((-1, b), (1, x)):
+            bits = [max((abs(c).bit_length() for m in family.rows
+                         for _, c in family.get(m, n).items()), default=0)
+                    for n in range(49)]
+            for order in range(49):
+                assert packed.digit_bits(order, denom_shift) > max(bits[: order + 1]), (
+                    denom_shift, order)
+
+    @pytest.mark.parametrize("a, n", [(1, 1), (2, 3), (3, 6), (4, 10)])
+    def test_floor_one_too_high_raises(self, monkeypatch, a, n):
+        # at these n the floor of N_a is its lowest t-power, n - a*l(n)
+        true_floors = packed.numerator_floors
+
+        def raised(a2, order):
+            floors = list(true_floors(a2, order))
+            if a2 == a:
+                floors[n] += 1
+            return tuple(floors)
+
+        packed.numerator.cache_clear()  # a cached N_a would never read the floors
+        monkeypatch.setattr(packed, "numerator_floors", raised)
+        with pytest.raises(InexactDivisionError):
+            closed_form_B(4, 12)
+
+    def test_packed_value_off_by_one_raises(self, monkeypatch):
+        true_numerator = packed.numerator
+
+        def off_by_one(a, order, k_bits):
+            values = list(true_numerator(a, order, k_bits))
+            values[5] += 1
+            return tuple(values)
+
+        monkeypatch.setattr(packed, "numerator", off_by_one)
+        for closed_form in (closed_form_B, closed_form_X):
+            with pytest.raises(InexactDivisionError):
+                closed_form(3, 8)
+
+
 class TestLemma:
     def test_m1_both_sides(self):
         for k in range(-3, 6):
@@ -309,6 +388,26 @@ class TestVerifyAll:
         bad = mismatches(convolution_cells(x, b, order))
         assert [3, 4] in bad
         assert all(m == 3 and n >= 4 for m, n in bad)
+
+    def test_corrupted_B_fails_census_column_sums(self, monkeypatch):
+        true_compute_B = strata.compute_B
+
+        def corrupted(order, x_matrix=None):
+            b = true_compute_B(order, x_matrix=x_matrix)
+            b.rows[3].coeffs[4] = b.rows[3].coeffs[4] + ONE  # corrupt B[3][4]
+            return b
+
+        monkeypatch.setattr(strata, "compute_B", corrupted)
+        report = verify_all(6, fp_max_r=2, identity_order=4)
+        check = next(c for c in report.checks
+                     if c.name == "sum_m B[m][n], sum_m X[m][n] == partition census")
+        assert check.failures == [[4, "B"]]
+        assert check.cells_compared == 2 * 7
+
+    def test_census_column_sums_hold_at_order_30(self):
+        x = compute_X(30)
+        b = compute_B(30, x_matrix=x)
+        assert not mismatches(census_column_cells(x, b, 30))
 
     def test_corrupted_dual_series_fails_A_Ainv(self, monkeypatch):
         true_dual = qseries.series_Y0_dual

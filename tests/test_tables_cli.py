@@ -240,6 +240,13 @@ class TestCli:
         assert main(["verify", "--level", "full"]) == 0
         assert "[ok  ] fixed-point sums == product series (60 cells)" in capsys.readouterr().out
 
+    def test_verify_full_census_column_sum_cells(self, capsys):
+        from hilbstrata.cli import main
+
+        assert main(["verify", "--level", "full"]) == 0
+        line = "[ok  ] sum_m B[m][n], sum_m X[m][n] == partition census (30 cells)"
+        assert line in capsys.readouterr().out  # B and X, n <= 14
+
     def test_verify_rejects_max_r_below_one(self):
         # a fixed-point check over no nesting level would compare nothing
         for bad in ("-3", "0"):
