@@ -1,11 +1,12 @@
 """Optional on-disk cache for computed q-series.
 
 Entries are JSON files keyed by (series name, parameters, order).  A
-loaded entry is screened by recomputing one randomly chosen coefficient
-from scratch; anything unreadable, mismatched or stale is recomputed and
-rewritten with a warning on stderr.  Exact integer data makes the
-comparison bit-exact.  Writes go through a temp file and os.replace, so
-concurrent runs never read a half-written entry.
+loaded entry must hold a series of its key's order, and one randomly
+chosen coefficient is recomputed from scratch; anything unreadable,
+mismatched, short or stale is recomputed and rewritten with a warning
+on stderr.  Exact integer data makes the comparison bit-exact.  Writes
+go through a temp file and os.replace, so concurrent runs never read a
+half-written entry.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ class SeriesCache:
             ):
                 raise ValueError("cache key mismatch")
             series = QSeries.from_json(payload["series"])
+            if series.order != order:
+                raise ValueError(f"series of order {series.order} under key order {order}")
             probe = self.rng.randint(0, order)
             if series.coeff(probe) != builder(probe).coeff(probe):
                 raise ValueError(f"stale coefficient at q^{probe}")

@@ -5,26 +5,20 @@ int p(2^K) 2^{-K L} (Kronecker substitution t -> 2^K; D. Harvey,
 J. Symbolic Comput. 44, 2009).  Evaluation at 2^K is a ring
 homomorphism, so intermediate values need no size bound; only the final
 coefficients, unpacked once as balanced base-2^K digits, must satisfy
-|c| < 2^{K-1}.  strata's module docstring gives the closed forms and
-the bound that sets K.  The matrix pipeline stays on LaurentPoly, so the
-two routes share no arithmetic kernel.
+|c| < 2^{K-1}.  One K, from the nested-scheme rows at t = 1
+(nested_rows_at_one), bounds both families (digit_bits), so the B and X
+columns share the cached numerators N_a.  strata's module docstring
+gives the closed forms.  The matrix pipeline stays on LaurentPoly, so
+the two routes share no arithmetic kernel.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from .diagrams import mu_max
 from .laurent import InexactDivisionError, LaurentPoly
-
-
-def closed_form_coeffs(m: int, order: int, denom_shift: int) -> list[LaurentPoly]:
-    """The q^0..q^order coefficients of S_m / prod_{i<m}(1 - t^{i+1}) times
-    prod_{k>=1} 1/(1 - t^{k+denom_shift} q^k), unpacked."""
-    k_bits = digit_bits(order, denom_shift)
-    floors, values = packed_column(m, order, denom_shift, k_bits)
-    return [unpack(v, k_bits, low) for low, v in zip(floors, values)]
 
 
 def packed_column(
@@ -73,13 +67,13 @@ def packed_column(
 
 @lru_cache(maxsize=None)
 def numerator_floors(a: int, order: int) -> tuple[int, ...]:
-    """L_n = min_{j<=n} (j - a l(j)) for n <= order, with l(j) = (isqrt(8j+1) - 1)//2
+    """L_n = min_{j<=n} (j - a l(j)) for n <= order, with l(j) = mu_max(j) - 1
     the largest number of distinct parts of j: a floor under the t-powers of
     N_a's q^n coefficient (a distinct-part partition of n with l parts gives
     t^{n - a l}), nonincreasing in n."""
     out, low = [], 0
     for j in range(order + 1):
-        low = min(low, j - a * ((isqrt(8 * j + 1) - 1) // 2))
+        low = min(low, j - a * (mu_max(j) - 1))
         out.append(low)
     return tuple(out)
 
@@ -113,33 +107,31 @@ def numerator(a: int, order: int, k_bits: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def digit_bits(order: int, denom_shift: int) -> int:
-    """K: one bit more than a proven bound on every coefficient of every column.
-
-    At t = 1, with plain ints: X_m = sum_{k>=m} Ginv(m, k) R_k, where
-    |Ginv(m, k)|_1 = C(k, m) and R_k has nonnegative coefficients, so
-    |X_m(n)|_1 <= sum_k C(k, m) R_k(n)|_{t=1}.  B_m is X_m times
-    series_Y0_dual, whose coefficients are bounded termwise by those of
-    prod_d (1 + q^d)/(1 - q^d); the B bound is the X bound times that.
-    Past mu_max(order) every R_k and every column vanish to the order.
-    """
-    f = [1] + [0] * order  # prod_d 1/(1 - q^d), the nested-scheme base at t = 1
+def nested_rows_at_one(order: int) -> tuple[tuple[int, ...], ...]:
+    """R_k(n)|_{t=1} = [q^n] q^{C(k,2)} prod_d 1/(1 - q^d) prod_{d<=k} 1/(1 - q^d)
+    for 1 <= k <= mu_max(order) and n <= order, with plain ints: the
+    nested-scheme rows series_Hnnr(k) at t = 1."""
+    f = [1] + [0] * order  # prod_d 1/(1 - q^d), then one more factor per k
     for d in range(1, order + 1):
-        if denom_shift < 0:  # times (1 + q^d)/(1 - q^d)
-            for n in range(order, d - 1, -1):
-                f[n] += f[n - d]
-            for n in range(d, order + 1):
-                f[n] += f[n - d]
         for n in range(d, order + 1):
             f[n] += f[n - d]
-    top = mu_max(order)
-    rows = []  # R_k at t = 1 (times the Y0_dual majorant for B)
-    for k in range(1, top + 1):
+    rows = []
+    for k in range(1, mu_max(order) + 1):
         for n in range(k, order + 1):
             f[n] += f[n - k]
-        rows.append([0] * comb(k, 2) + f[: order + 1 - comb(k, 2)])
+        rows.append((0,) * comb(k, 2) + tuple(f[: order + 1 - comb(k, 2)]))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def digit_bits(order: int) -> int:
+    """K: one bit more than max_{m,n} sum_k C(k, m) R_k(n)|_{t=1}, which
+    bounds every coefficient of every B and X column (strata's module
+    docstring has the proof); past mu_max(order) every R_k and every
+    column vanish to the order."""
+    rows = nested_rows_at_one(order)
     bound = max(sum(comb(k, m) * row[n] for k, row in enumerate(rows, 1))
-                for m in range(1, top + 1) for n in range(order + 1))
+                for m in range(1, len(rows) + 1) for n in range(order + 1))
     return bound.bit_length() + 1
 
 

@@ -31,15 +31,19 @@ LaurentPoly, the closed forms on packed ints (module packed, t -> 2^K),
 where a factor step is one shift-and-add, scaling by c_{m,a} one int
 multiply and the division by prod_{i<m}(1 - t^{i+1}) one exact divmod.
 Unpacking is exact when every final coefficient c has |c| < 2^{K-1}, so
-K is one bit more than a bound proven at t = 1 with plain ints:
-|X_m(n)|_1 <= sum_k C(k, m) R_k(n)|_{t=1}, and B_m = X_m * series_Y0_dual
-adds a convolution with prod_d (1 + q^d)/(1 - q^d).  N_a's q^n
-coefficient has t-powers >= n - a l(n), l(n) the largest number of
-distinct parts of n, which gives the floors.  A shift that would drop a
-nonzero bit and a division that leaves a remainder both raise.
+K is one bit more than a bound proven at t = 1 with plain ints, one for
+both families: X_m = sum_k Ginv(m, k) R_k and B_m = sum_k Ginv(m, k)
+(R_k series_Y0_dual) with |Ginv(m, k)|_1 = C(k, m), and R_k and
+R_k series_Y0_dual = q^{C(k,2)} series_poincare_H prod_{d<=k} 1/(1-t^d q^d)
+have nonnegative coefficients and equal R_k at t = 1, so every
+|coefficient| of X_m(n) and B_m(n) is at most sum_k C(k, m) R_k(n)|_{t=1}.
+N_a's q^n coefficient has t-powers >= n - a l(n), l(n) the largest
+number of distinct parts of n, which gives the floors.  A shift that
+would drop a nonzero bit and a division that leaves a remainder both raise.
 
 Every entry is checked across both routes, against the fixed-point
-census of partitions, and against the Euler-characteristic series.
+census of partitions, and at t = 1 against chi_series, which inverts
+the nested-scheme rows at t = 1 on plain ints.
 """
 
 from __future__ import annotations
@@ -144,8 +148,10 @@ def _closed_form(m: int, order: int, denom_shift: int) -> QSeries:
         raise ValueError("m must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    k_bits = packed.digit_bits(order)
     out = []
-    for n, c in enumerate(packed.closed_form_coeffs(m, order, denom_shift)):
+    for n, (low, v) in enumerate(zip(*packed.packed_column(m, order, denom_shift, k_bits))):
+        c = packed.unpack(v, k_bits, low)
         if not c.is_polynomial():
             raise NonPolynomialCoefficientError(
                 f"coefficient of q^{n} at m={m} kept negative t-powers: {c}"
@@ -174,21 +180,18 @@ def lemma_identity_check(m: int, k: int) -> bool:
 def chi_series(m: int, order: int) -> QSeries:
     """Generating function of Euler characteristics of the B^[n]_m strata.
 
-    prod_d 1/(1-q^d) * sum_k (-1)^{k-m} q^C(k,2) C(k,m) / (q)_k with
-    (q)_k = prod_{d<=k}(1-q^d); coefficients are plain integers (constant
-    in t).  Terms beyond k = mu_max(order) start past the truncation.
+    chi(B^[n]_m) = sum_{k>=m} (-1)^{k-m} C(k, m) R_k(n)|_{t=1}, the matrix
+    pipeline's inversion at t = 1 (where series_Y0_dual is 1), on the plain
+    ints of packed.nested_rows_at_one; coefficients are constant in t.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = QSeries.zero(order)
-    inv_pochhammer = QSeries.one(order)  # 1/(q)_k, one factor step per k
-    for k in range(1, mu_max(order) + 1):
-        inv_pochhammer = inv_pochhammer.div_one_minus(0, k)
-        if k < m:
-            continue
-        coeff = LaurentPoly.const(comb(k, m) if (k - m) % 2 == 0 else -comb(k, m))
-        total = total + inv_pochhammer.scale(coeff).shift_q(comb(k, 2))
-    return times_factors(total, ((0, d, -1) for d in range(1, order + 1)))
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    rows = packed.nested_rows_at_one(order)
+    return QSeries([LaurentPoly.const(sum((-1) ** (k - m) * comb(k, m) * rows[k - 1][n]
+                                          for k in range(m, len(rows) + 1)))
+                    for n in range(order + 1)])
 
 
 # -- the verification suite -----------------------------------------------

@@ -285,8 +285,32 @@ class TestPackedKernel:
                          for _, c in family.get(m, n).items()), default=0)
                     for n in range(49)]
             for order in range(49):
-                assert packed.digit_bits(order, denom_shift) > max(bits[: order + 1]), (
+                assert packed.digit_bits(order) > max(bits[: order + 1]), (
                     denom_shift, order)
+
+    def test_nested_rows_at_one_are_the_rows_at_t_equal_one(self):
+        for order in range(31):
+            rows = packed.nested_rows_at_one(order)
+            assert len(rows) == mu_max(order)
+            for k, row in enumerate(rows, 1):
+                want = series_Hnnr(k, order)
+                assert row == tuple(want.coeff(n).eval_at_one() for n in range(order + 1)), (
+                    order, k)
+
+    def test_bound_premise_rows_times_dual_are_nonnegative(self):
+        # digit_bits bounds B by R_k series_Y0_dual at t = 1: that product must
+        # have only nonnegative coefficients and equal R_k there
+        dual = series_Y0_dual(20)
+        products = [series_Hnnr(k, 20) * dual for k in range(1, mu_max(20) + 1)]
+        for product in products:
+            assert all(c >= 0 for n in range(21) for _, c in product.coeff(n).items())
+        for order in range(21):
+            for k, row in enumerate(packed.nested_rows_at_one(order), 1):
+                assert row == tuple(products[k - 1].coeff(n).eval_at_one()
+                                    for n in range(order + 1)), (order, k)
+
+    def test_one_digit_width_for_both_families(self):
+        assert [packed.digit_bits(n) for n in (20, 48, 80)] == [17, 28, 37]
 
     @pytest.mark.parametrize("a, n", [(1, 1), (2, 3), (3, 6), (4, 10)])
     def test_floor_one_too_high_raises(self, monkeypatch, a, n):
@@ -353,6 +377,15 @@ class TestChi:
     def test_row_nine_column_four(self):
         # eval-at-one cross-check tied to the 3t^3+4t^2+2t+1 table cell
         assert chi_series(4, 9).coeff(9) == LaurentPoly.const(10)
+
+    def test_columns_past_the_top_vanish(self):
+        for order in range(8):
+            for m in range(mu_max(order) + 1, mu_max(order) + 3):
+                assert chi_series(m, order) == QSeries.zero(order), (order, m)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            chi_series(1, -1)
 
 
 class TestVerifyAll:

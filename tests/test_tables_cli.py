@@ -146,6 +146,19 @@ class TestSeriesCache:
         assert got == series_Y0(5)
         assert "stale coefficient" in capsys.readouterr().err
 
+    def test_short_series_under_longer_key_recomputed(self, tmp_path, monkeypatch, capsys):
+        cache = SeriesCache(tmp_path)
+        cache.get("epoly_Y0", {}, 6, series_Y0)
+        victim = next(tmp_path.glob("*.json"))
+        payload = json.loads(victim.read_text())
+        payload["series"] = series_Y0(2).to_json()  # the key still says order 6
+        victim.write_text(json.dumps(payload))
+        monkeypatch.setattr(cache.rng, "randint", lambda lo, hi: 0)  # a probe the short series passes
+        got = cache.get("epoly_Y0", {}, 6, series_Y0)
+        assert got == series_Y0(6)
+        assert "recomputing" in capsys.readouterr().err
+        assert json.loads(victim.read_text())["series"]["order"] == 6
+
     def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
         cache = SeriesCache(tmp_path)
         cache.get("epoly_Y0", {}, 5, series_Y0)
