@@ -333,13 +333,12 @@ ONE = LaurentPoly.one()
 
 @lru_cache(maxsize=None)
 def gauss_binomial(m: int, a: int) -> LaurentPoly:
-    """Gaussian binomial coefficient as an exact polynomial in t.
+    """Gaussian binomial coefficient [m, a] as an exact polynomial in t.
 
-    Defined as prod_{i=0}^{a-1} (1 - t^{m-i}) / (1 - t^{i+1}) for
-    1 <= a <= m, as 1 for a = 0 and as 0 for a > m.  Every partial
-    product in that order is itself a Gaussian binomial, so the
-    division below is exact at each step (a hard error otherwise).
-    This is the E-polynomial of the Grassmannian of a-planes in m-space.
+    It is 1 for a = 0, 0 for a > m, and otherwise entry a of row m of
+    the q-Pascal triangle [m, a] = [m-1, a-1] + t^a [m-1, a], which
+    equals prod_{i=0}^{a-1} (1 - t^{m-i}) / (1 - t^{i+1}).  This is the
+    E-polynomial of the Grassmannian of a-planes in m-space.
     """
     if m < 0 or a < 0:
         raise ValueError("gauss_binomial needs nonnegative arguments")
@@ -347,8 +346,14 @@ def gauss_binomial(m: int, a: int) -> LaurentPoly:
         return ONE
     if a > m:
         return ZERO
-    result = ONE
-    for i in range(a):
-        result = result * (ONE - LaurentPoly.t_power(m - i))
-        result = result.exact_div(ONE - LaurentPoly.t_power(i + 1))
-    return result
+    return _q_pascal_row(m)[a]
+
+
+@lru_cache(maxsize=None)
+def _q_pascal_row(m: int) -> tuple[LaurentPoly, ...]:
+    """[m, 0], ..., [m, m], built from row 0 one row at a time: one
+    add_shifted per entry, no products and no division."""
+    row = (ONE,)
+    for i in range(1, m + 1):
+        row = (ONE, *(row[a - 1].add_shifted(row[a], a) for a in range(1, i)), ONE)
+    return row

@@ -223,7 +223,17 @@ def series_Hnnr_rows(max_r: int, order: int) -> Iterator[QSeries]:
     """
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    running = series_H(order)
+    return _nested_rows(series_H(order), max_r)
+
+
+def _nested_rows(seed: QSeries, max_r: int) -> Iterator[QSeries]:
+    """q^C(r,2) * seed * prod_{d<=r} 1/(1 - t^d q^d) for r = 1, ..., max_r.
+
+    Seeded with series_H these are the nested-scheme rows R_r; seeded
+    with series_poincare_H they are R_r * series_Y0_dual, since the two
+    seeds differ by exactly series_Y0_dual's factors.
+    """
+    running = seed
     for r in range(1, max_r + 1):
         running = running.div_one_minus(r, r)
         yield running.shift_q(comb(r, 2))

@@ -9,11 +9,19 @@ Ginv(m, k) = (-1)^{k-m} t^{C(k-m,2)} gauss(k, m) the inverse of the
 Gaussian-binomial matrix G(k, m) = gauss(k, m),
 
     X_m = sum_k Ginv(m, k) R_k      (R_r = sum_m gauss(m, r) X_m)
-    B_m = X_m * series_Y0_dual      (X_m = B_m * series_Y0)
+    B_m = sum_k Ginv(m, k) D_k      (D_k = R_k * series_Y0_dual)
 
-series_Hnnr_rows advances one running product by a factor per r for
-both series_Hnnr and build_R, and B_m is X_m times the
-(1 - t^a q^b)^{+-1} factors of series_Y0_dual, applied as factor steps.
+so X_m = B_m * series_Y0.  No entry of Ginv is formed: by Cauchy's
+q-binomial theorem prod_{i<m}(1 + t^i y) = sum_r t^C(r,2) gauss(m, r) y^r,
+so P(y) = sum_r t^C(r,2) R_r y^r = sum_m X_m prod_{i<m}(1 + t^i y), and
+dividing the factors (1 + y), (1 + t y), (1 + t^2 y), ... off P in turn
+(synthetic division) leaves X_1, X_2, ... as the remainders, one step
+a - t^k b on q-coefficients at a time (_invert_gauss).  The rows are one
+running product advanced by 1/(1 - t^r q^r) per r, with two seeds:
+series_H gives R_k (series_Hnnr_rows, build_R) and series_poincare_H
+gives D_k = q^C(k,2) series_poincare_H prod_{d<=k} 1/(1 - t^d q^d), the
+seeds that also split the closed forms' two families.  B never reads X,
+so "X == B.A" compares two independent inversions.
 
 Closed forms: with c_{m,a} = (-1)^{a+1} gauss(m,a) (t^{-1}+...+t^{-a}) t^{C(a,2)+m}
 (the k = 0 factor of the paper's products folded in), the numerators
@@ -58,7 +66,7 @@ from . import packed, qseries
 from .diagrams import (
     count_partitions_with_mu, e_poly_Bnnr_fixed, e_poly_Hnnr_fixed, mu_max)
 from .laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from .qseries import QSeries, times_factors
+from .qseries import QSeries
 
 
 class NonPolynomialCoefficientError(ArithmeticError):
@@ -99,28 +107,62 @@ def compute_X(order: int, r_matrix: StrataMatrix | None = None) -> StrataMatrix:
     """Strata rows X_m = sum_k Ginv(m, k) R_k, the E-polynomials of H^[n]_m.
 
     Rows run over 1 <= m <= mu_max(order); the row cutoff is exact, not a
-    truncation, because R_k vanishes below q^C(k, 2).
+    truncation, because R_k vanishes below q^C(k, 2).  The inversion is
+    _invert_gauss over the rows R_1..R_top of r_matrix (build_R's rows
+    by default).
     """
     top = mu_max(order)
     r = r_matrix if r_matrix is not None else build_R(top, order)
-    rows = {}
-    for m in range(1, top + 1):
-        row = QSeries.zero(order)
-        for k in range(m, top + 1):
-            row = row + r.rows[k].scale(ginv_entry(m, k))
-        rows[m] = row
-    return StrataMatrix(rows)
+    return StrataMatrix(_invert_gauss([r.rows[k] for k in range(1, top + 1)]))
 
 
 def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
-    """Punctual strata rows B_m = X_m * series_Y0_dual, the E-polynomials of B^[n]_m.
+    """Punctual strata rows B_m = sum_k Ginv(m, k) D_k, the E-polynomials of B^[n]_m.
 
-    series_Y0_dual is a product of (1 - t^a q^b)^{+-1} factors, so each
-    row of X is multiplied by it one factor step at a time.
+    D_k = R_k * series_Y0_dual is the nested-row running product seeded
+    with series_poincare_H, and B is inverted from D exactly as X is from
+    R, so B never reads X and "X == B.A" compares two independent
+    inversions.  x_matrix is not read: it stays in the signature only
+    because existing callers pass X, among them the benchmark's
+    matrix_pipeline (perfbench/workloads.py), which passes it positionally.
     """
-    x = x_matrix if x_matrix is not None else compute_X(order)
-    factors = qseries.y0_dual_factors(order)
-    return StrataMatrix({m: times_factors(row, factors) for m, row in x.rows.items()})
+    rows = qseries._nested_rows(qseries.series_poincare_H(order), mu_max(order))
+    return StrataMatrix(_invert_gauss(list(rows)))
+
+
+def _invert_gauss(rows: list[QSeries]) -> dict[int, QSeries]:
+    """{m: sum_k Ginv(m, k) rows[k-1]} for 1 <= m <= len(rows), by the
+    synthetic division of the module docstring.
+
+    Dividing level i by (1 + t^i y) from the top coefficient down, each
+    quotient coefficient is t^{-i}(a - b), a the level's coefficient and
+    b the quotient coefficient above; the remainder is the row m = i.
+    Level 0's remainder is the row m = 0, which vanishes, so P's y^0
+    coefficient is never needed.  Every coefficient carries a pending
+    t-shift, so a step is one add_shifted per q-coefficient.
+    """
+    # level[j] = (coeffs, s): the y^j coefficient is t^s times coeffs
+    level = [None] + [(row.coeffs, comb(r, 2)) for r, row in enumerate(rows, 1)]
+    out = {}
+    for i in range(len(rows) + 1):
+        quotient, above = [], None
+        for coeff in reversed(level[1:]):
+            coeffs, s = _minus(coeff, above)
+            above = (coeffs, s - i)
+            quotient.append(above)
+        if i:
+            # no shift is pending: level i's y^j coefficient carries C(i+j,2) - C(i,2)
+            out[i] = QSeries(_minus(level[0], above)[0])
+        level = quotient[::-1]
+    return out
+
+
+def _minus(a, b):
+    """a - b for (coeffs, pending t-shift) pairs, in a's shift; a if b is None."""
+    if b is None:
+        return a
+    (ca, sa), (cb, sb) = a, b
+    return [x.add_shifted(y, sb - sa, -1) for x, y in zip(ca, cb)], sa
 
 
 # -- closed forms --------------------------------------------------------
@@ -318,7 +360,7 @@ def verify_all(
     top = mu_max(order)  # always >= 1
     r_ser = build_R(top, order)
     x = compute_X(order, r_matrix=r_ser)
-    b = compute_B(order, x_matrix=x)
+    b = compute_B(order)
 
     # the two inverses, as the identities they stand for
     size = range(1, identity_order + 1)

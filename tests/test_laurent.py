@@ -150,6 +150,21 @@ class TestGaussBinomial:
             for a in range(m + 1):
                 assert gauss_binomial(m, a).eval_at_one() == comb(m, a)
 
+    def test_q_pascal_equals_product_formula(self):
+        # prod_{i<a} (1 - t^{m-i}) / (1 - t^{i+1}), formed here one factor
+        # per a with * and exact_div; for a > m the factor i = m is zero
+        for m in range(31):
+            want = ONE
+            for a in range(m + 2):
+                assert gauss_binomial(m, a) == want, (m, a)
+                want = (want * (ONE - LaurentPoly.t_power(m - a))).exact_div(
+                    ONE - LaurentPoly.t_power(a + 1))
+
+    def test_rejects_negative_arguments(self):
+        for m, a in ((-1, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                gauss_binomial(m, a)
+
     def test_nonnegative_polynomial(self):
         for m, a in iproduct(range(10), range(10)):
             g = gauss_binomial(m, a)

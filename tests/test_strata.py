@@ -7,7 +7,7 @@ import pytest
 
 from hilbstrata.diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
 from hilbstrata.laurent import ONE, ZERO, InexactDivisionError, LaurentPoly, gauss_binomial
-from hilbstrata import packed, qseries, strata
+from hilbstrata import laurent, packed, qseries, strata
 from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0, series_Y0_dual
 from hilbstrata.strata import (
     CheckResult,
@@ -174,6 +174,52 @@ class TestPipeline:
             for m in b.rows:
                 total = total + b.get(m, n)
             assert total == e_poly_Bnnr_fixed(n, 0), n
+
+
+class TestGaussInversion:
+    """compute_X and compute_B invert the Gaussian-binomial matrix by
+    monomial steps; these pin them against Ginv formed entry by entry."""
+
+    @staticmethod
+    def ginv_sums(rows, order):
+        top = mu_max(order)
+        return {m: sum((rows[k].scale(ginv_entry(m, k)) for k in range(m, top + 1)),
+                       QSeries.zero(order))
+                for m in range(1, top + 1)}
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6, 14, 30])
+    def test_rows_are_ginv_weighted_sums(self, order):
+        top = mu_max(order)
+        r = build_R(top, order).rows
+        dual = series_Y0_dual(order)
+        d = {k: row * dual for k, row in r.items()}
+        assert compute_X(order).rows == self.ginv_sums(r, order)
+        assert compute_B(order).rows == self.ginv_sums(d, order)
+
+    def test_nested_rows_times_dual_are_the_poincare_seeded_rows(self):
+        d = qseries._nested_rows(qseries.series_poincare_H(20), 7)
+        for k, row in enumerate(d, 1):
+            want = series_Hnnr(k, 20) * series_Y0_dual(20)
+            assert row.coeffs == want.coeffs, k
+
+    @pytest.mark.parametrize("order", [0, 5, 14])
+    def test_no_polynomial_product_and_no_gauss_binomial(self, monkeypatch, order):
+        want = compute_X(order), compute_B(order)
+
+        def forbidden(*args):
+            raise AssertionError("the matrix pipeline formed a product")
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(LaurentPoly, name, forbidden)
+        monkeypatch.setattr(QSeries, "__mul__", forbidden)
+        monkeypatch.setattr(strata, "gauss_binomial", forbidden)
+        monkeypatch.setattr(laurent, "gauss_binomial", forbidden)
+        assert (compute_X(order), compute_B(order)) == want
+
+    def test_B_ignores_x_matrix(self):
+        x = compute_X(6)
+        x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + ONE
+        assert compute_B(6, x_matrix=x) == compute_B(6)
 
 
 class TestClosedForms:
@@ -421,6 +467,20 @@ class TestVerifyAll:
         bad = mismatches(convolution_cells(x, b, order))
         assert [3, 4] in bad
         assert all(m == 3 and n >= 4 for m, n in bad)
+
+    def test_corrupted_X_fails_convolution(self, monkeypatch):
+        # B is inverted from its own rows, so a fault in X shows up here
+        true_compute_X = strata.compute_X
+
+        def corrupted(order, r_matrix=None):
+            x = true_compute_X(order, r_matrix=r_matrix)
+            x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + ONE  # corrupt X[2][3]
+            return x
+
+        monkeypatch.setattr(strata, "compute_X", corrupted)
+        report = verify_all(6, fp_max_r=2, identity_order=4)
+        check = next(c for c in report.checks if c.name == "X == B.A (origin/punctured split)")
+        assert check.failures == [[2, 3]]
 
     def test_corrupted_B_fails_census_column_sums(self, monkeypatch):
         true_compute_B = strata.compute_B
