@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("kind", choices=TABLE_KINDS)
     t.add_argument("--max-n", type=int, default=14, help="largest point count n")
     t.add_argument("--max-m", type=int, default=None,
-                   help="largest generator count column (default mu_max(max_n))")
+                   help="largest m column of bm, hm, chi (default mu_max(max_n))")
     t.add_argument("--max-r", type=int, default=4, help="largest nesting r (hnnr)")
     t.add_argument("--format", dest="fmt", choices=FORMATS, default="latex")
     t.add_argument("--cache-dir", default=os.environ.get("HILBSTRATA_CACHE_DIR"))
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_table(args, parser) -> int:
     try:  # only the bounds: a ValueError from the build is not a usage error
-        check_bounds(args.max_n, args.max_m, args.max_r)
+        check_bounds(args.kind, args.max_n, args.max_m, args.max_r)
     except ValueError as exc:
         parser.error(str(exc))
     cache = SeriesCache(args.cache_dir) if args.cache_dir else None

@@ -25,7 +25,7 @@ class InexactDivisionError(ArithmeticError):
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in t with int coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         data: dict[int, int] = {}
@@ -36,7 +36,6 @@ class LaurentPoly:
                 if not data[exp]:
                     del data[exp]
         self._terms = data
-        self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -221,13 +220,10 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if len(self._terms) <= 1 and set(self._terms) <= {0}:
-                # constants compare equal to ints, so they must hash alike
-                self._hash = hash(self._terms.get(0, 0))
-            else:
-                self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        if len(self._terms) <= 1 and set(self._terms) <= {0}:
+            # constants compare equal to ints, so they must hash alike
+            return hash(self._terms.get(0, 0))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -268,14 +264,13 @@ class LaurentPoly:
 
     @classmethod
     def from_string(cls, text: str) -> LaurentPoly:
-        """Parse the canonical rendering (both "2*t^3" and "2 t^3" accepted)."""
-        s = text.strip().replace(" ", "").replace("{", "").replace("}", "")
+        """Parse the canonical rendering (both "2*t^3" and "2 t^3" accepted);
+        every term after the first needs its sign, so "1 2" and "t2" raise."""
+        s = text.strip().replace("{", "").replace("}", "")
         if not s:
             raise ValueError("empty polynomial string")
-        if s == "0":
-            return cls()
         tokens = _TERM_RE.findall(s)
-        if "".join(tokens) != s:
+        if "".join(tokens) != s or any(tok[0] not in "+-" for tok in tokens[1:]):
             raise ValueError(f"cannot parse polynomial string {text!r}")
         return cls(_parse_term(tok) for tok in tokens)
 
@@ -293,7 +288,6 @@ class LaurentPoly:
 def _raw(terms: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
-    p._hash = None
     return p
 
 
@@ -305,8 +299,8 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to LaurentPoly")
 
 
-# one monomial: optional sign, optional coefficient, optional t[^exp]
-_TERM_RE = re.compile(r"[+-]?(?:\d+\*?)?t(?:\^-?\d+)?|[+-]?\d+")
+# one monomial: optional sign, optional coefficient ("2*" or "2 "), optional t[^exp]
+_TERM_RE = re.compile(r"[+-]?(?:\d+[* ]?)?t(?:\^-?\d+)?|[+-]?\d+")
 
 
 def _parse_term(chunk: str) -> tuple[int, int]:
@@ -316,7 +310,7 @@ def _parse_term(chunk: str) -> tuple[int, int]:
     if "t" not in chunk:
         return (0, -int(chunk) if neg else int(chunk))
     head, _, tail = chunk.partition("t")
-    head = head.rstrip("*")
+    head = head.rstrip("* ")
     coeff = int(head) if head else 1
     if tail == "":
         exp = 1

@@ -5,6 +5,11 @@ beyond q^N is discarded.  Infinite products over a parameter d keep only
 the factors whose q-exponent is <= N, which is exact because every
 omitted factor is 1 + O(q^{N+1}).
 
+Two drivers run every product as factor steps (mul_one_minus and
+div_one_minus): product_factors multiplies a list of factors onto 1, and
+_nested_rows advances the running product of the nested rows by one
+factor per row.
+
 All the named generating functions live here:
 
   series_H          prod_d 1/(1 - t^{d+1} q^d)          (Hilbert scheme of the plane)
@@ -21,6 +26,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from .diagrams import mu_max
 from .laurent import ONE, ZERO, LaurentPoly
 
 
@@ -166,18 +172,17 @@ class QSeries:
         return cls(coeffs)
 
 
-def times_factors(
-    s: QSeries, factors: Iterable[tuple[int, int, int]]
+def product_factors(
+    factors: Iterable[tuple[int, int, int]], order: int
 ) -> QSeries:
-    """s times a product of (1 - t^{t_exp} q^{q_exp})^{power} factors, at s's order.
+    """Truncated product of (1 - t^{t_exp} q^{q_exp})^{power} factors.
 
     Each factor is a triple (t_exp, q_exp, power) with q_exp >= 1 and
-    power +1 or -1, applied as one mul_one_minus / div_one_minus step.
-    Factors with q_exp > s.order contribute 1 + O(q^{order+1}) and are
-    skipped.  The result never shares its coefficient list with s.
+    power +1 or -1, applied to 1 as one mul_one_minus / div_one_minus
+    step.  Factors with q_exp > order contribute 1 + O(q^{order+1}) and
+    are skipped.
     """
-    order = s.order
-    out = s
+    out = QSeries.one(order)
     for t_exp, q_exp, power in factors:
         if q_exp < 1:
             raise ValueError("factors require q_exp >= 1")
@@ -189,15 +194,7 @@ def times_factors(
             out = out.div_one_minus(t_exp, q_exp)
         else:
             raise ValueError("factor power must be +1 or -1")
-    # a fresh series even when no step applied: callers may mutate either
-    return out if out is not s else QSeries(s.coeffs)
-
-
-def product_factors(
-    factors: Iterable[tuple[int, int, int]], order: int
-) -> QSeries:
-    """Truncated product of (1 - t^{t_exp} q^{q_exp})^{power} factors; see times_factors."""
-    return times_factors(QSeries.one(order), factors)
+    return out
 
 
 def series_H(order: int) -> QSeries:
@@ -231,7 +228,8 @@ def _nested_rows(seed: QSeries, max_r: int) -> Iterator[QSeries]:
 
     Seeded with series_H these are the nested-scheme rows R_r; seeded
     with series_poincare_H they are R_r * series_Y0_dual, since the two
-    seeds differ by exactly series_Y0_dual's factors.
+    seeds differ by exactly series_Y0_dual's factors; seeded with 1 they
+    are the terms of Euler's expansion (euler_identity_check).
     """
     running = seed
     for r in range(1, max_r + 1):
@@ -272,19 +270,12 @@ def q_pochhammer(k: int, order: int) -> QSeries:
 def euler_identity_check(t_exp_z: int, order: int) -> bool:
     """Check the Euler expansion of prod (1 - z q^n) after q -> tq, z -> t^{t_exp_z}.
 
-    Left side: sum_{n>=0} (-1)^n z^n q^C(n,2) / (q)_n; right side the
+    Left side: sum_{n>=0} (-1)^n z^n (tq)^C(n,2) / prod_{d<=n}(1 - t^d q^d),
+    term n being _nested_rows' row n seeded with 1; right side the
     product; both expanded as truncated QSeries and compared exactly.
     """
-    n = 0
-    lhs = QSeries.zero(order)
-    inv_pochhammer = QSeries.one(order)  # 1/prod_{d<=n}(1 - t^d q^d), one step per n
-    while comb(n, 2) <= order:
-        # (-1)^n t^{n*t_exp_z} (tq)^C(n,2) / prod_{d<=n}(1 - t^d q^d)
-        k = comb(n, 2)
-        scalar = LaurentPoly.t_power(n * t_exp_z + k, -1 if n % 2 else 1)
-        lhs = lhs + inv_pochhammer.scale(scalar).shift_q(k)
-        n += 1
-        inv_pochhammer = inv_pochhammer.div_one_minus(n, n)
-    rhs = QSeries.one(order).scale(ONE - LaurentPoly.t_power(t_exp_z))
-    rhs = times_factors(rhs, ((t_exp_z + d, d, 1) for d in range(1, order + 1)))
-    return lhs == rhs
+    lhs = QSeries.one(order)
+    for n, row in enumerate(_nested_rows(QSeries.one(order), mu_max(order)), 1):
+        lhs = lhs + row.scale(LaurentPoly.t_power(n * t_exp_z + comb(n, 2), (-1) ** n))
+    rhs = product_factors(((t_exp_z + d, d, 1) for d in range(1, order + 1)), order)
+    return lhs == rhs.scale(ONE - LaurentPoly.t_power(t_exp_z))

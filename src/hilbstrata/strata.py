@@ -16,12 +16,12 @@ q-binomial theorem prod_{i<m}(1 + t^i y) = sum_r t^C(r,2) gauss(m, r) y^r,
 so P(y) = sum_r t^C(r,2) R_r y^r = sum_m X_m prod_{i<m}(1 + t^i y), and
 dividing the factors (1 + y), (1 + t y), (1 + t^2 y), ... off P in turn
 (synthetic division) leaves X_1, X_2, ... as the remainders, one step
-a - t^k b on q-coefficients at a time (_invert_gauss).  The rows are one
-running product advanced by 1/(1 - t^r q^r) per r, with two seeds:
-series_H gives R_k (series_Hnnr_rows, build_R) and series_poincare_H
-gives D_k = q^C(k,2) series_poincare_H prod_{d<=k} 1/(1 - t^d q^d), the
-seeds that also split the closed forms' two families.  B never reads X,
-so "X == B.A" compares two independent inversions.
+a - t^k b on q-coefficients at a time (_invert_gauss).  X and B are one
+helper over two seeds: the rows are the running product
+q^C(k,2) seed prod_{d<=k} 1/(1 - t^d q^d), advanced by one factor step
+per k, and seed series_H gives R_k while seed series_poincare_H gives
+D_k, the seeds that also split the closed forms' two families.  B never
+reads X, so "X == B.A" compares two independent inversions.
 
 Closed forms: with c_{m,a} = (-1)^{a+1} gauss(m,a) (t^{-1}+...+t^{-a}) t^{C(a,2)+m}
 (the k = 0 factor of the paper's products folded in), the numerators
@@ -103,17 +103,15 @@ def build_R(max_r: int, order: int) -> StrataMatrix:
     return StrataMatrix(dict(enumerate(qseries.series_Hnnr_rows(max_r, order), 1)))
 
 
-def compute_X(order: int, r_matrix: StrataMatrix | None = None) -> StrataMatrix:
+def compute_X(order: int) -> StrataMatrix:
     """Strata rows X_m = sum_k Ginv(m, k) R_k, the E-polynomials of H^[n]_m.
 
     Rows run over 1 <= m <= mu_max(order); the row cutoff is exact, not a
-    truncation, because R_k vanishes below q^C(k, 2).  The inversion is
-    _invert_gauss over the rows R_1..R_top of r_matrix (build_R's rows
-    by default).
+    truncation, because R_k vanishes below q^C(k, 2).  The rows R_k are
+    the nested-row running product seeded with series_H, inverted by
+    _invert_gauss; compute_B differs only in the seed.
     """
-    top = mu_max(order)
-    r = r_matrix if r_matrix is not None else build_R(top, order)
-    return StrataMatrix(_invert_gauss([r.rows[k] for k in range(1, top + 1)]))
+    return _invert_nested(qseries.series_H(order))
 
 
 def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
@@ -126,7 +124,12 @@ def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
     because existing callers pass X, among them the benchmark's
     matrix_pipeline (perfbench/workloads.py), which passes it positionally.
     """
-    rows = qseries._nested_rows(qseries.series_poincare_H(order), mu_max(order))
+    return _invert_nested(qseries.series_poincare_H(order))
+
+
+def _invert_nested(seed: QSeries) -> StrataMatrix:
+    """The Gaussian inversion of the nested-row running product from seed."""
+    rows = qseries._nested_rows(seed, mu_max(seed.order))
     return StrataMatrix(_invert_gauss(list(rows)))
 
 
@@ -357,9 +360,11 @@ def verify_all(
     def run(name: str, comparisons: Iterable[Comparison]):
         checks.append(CheckResult.compare(name, comparisons))
 
+    if order < 0:
+        raise ValueError("order must be >= 0")
     top = mu_max(order)  # always >= 1
     r_ser = build_R(top, order)
-    x = compute_X(order, r_matrix=r_ser)
+    x = compute_X(order)
     b = compute_B(order)
 
     # the two inverses, as the identities they stand for

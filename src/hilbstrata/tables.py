@@ -53,12 +53,16 @@ class Table:
     cells: list[list[LaurentPoly]]  # cells[row][col]
 
 
-def check_bounds(max_n: int, max_m: int | None, max_r: int) -> None:
-    """Raise ValueError naming the first table bound out of range."""
+def check_bounds(kind: str, max_n: int, max_m: int | None, max_r: int) -> None:
+    """Raise ValueError naming the first table bound out of range or not
+    applying to the kind."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if max_m is not None and max_m < 1:
         raise ValueError("max_m must be >= 1")
+    if max_m is not None and SERIES[kind][1] != "m":
+        m_kinds = ", ".join(k for k, (_, param, _) in SERIES.items() if param == "m")
+        raise ValueError(f"max_m applies only to the m-column kinds ({m_kinds}), not {kind}")
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
 
@@ -74,12 +78,13 @@ def build_table(
 
     The m-columns run to max_m, which defaults to mu_max(max_n) and is
     clamped there with a warning on stderr, since rows above it are
-    identically zero; the r-columns of hnnr run to max_r.  With a cache,
-    each column is read through it, which screens and repairs its entry.
+    identically zero; other kinds take no max_m.  The r-columns of hnnr
+    run to max_r.  With a cache, each column is read through it, which
+    screens and repairs its entry.
     """
-    check_bounds(max_n, max_m, max_r)
     if kind not in SERIES:
         raise ValueError(f"unknown table kind {kind!r}")
+    check_bounds(kind, max_n, max_m, max_r)
     name, param, fn = SERIES[kind]
     count = max_r
     if param == "m":

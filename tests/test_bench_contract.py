@@ -2,29 +2,32 @@
 
 perfbench/tracing.py wraps functions and methods by name, and the
 workloads read cache paths, strata cells and the cache module's random
-source.  A rename or deletion in src/ would otherwise surface only when
-the benchmark runs, as an AttributeError in the traced worker.
+source, and run the matrix pipeline with compute_B's x_matrix passed
+positionally.  A rename or deletion in src/ would otherwise surface only
+when the benchmark runs, as an AttributeError in the traced worker.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from hilbstrata import cache, strata
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # defines the tracer; installs nothing
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)  # defines names only; installs and runs nothing
     return module
 
 
-TARGETS = load_tracing().TARGETS
+TARGETS = load_perfbench("tracing").TARGETS
 
 
 @pytest.mark.parametrize("owner, attr", sorted({(t[1], t[2]) for t in TARGETS}))
@@ -39,3 +42,9 @@ def test_workload_names_resolve():
     assert callable(cache.SeriesCache._path)
     assert callable(strata.StrataMatrix.get)
     assert hasattr(cache, "random")
+
+
+def test_matrix_pipeline_calls_resolve():
+    # the workload passes X to compute_B positionally
+    workloads = load_perfbench("workloads")
+    assert workloads.matrix_pipeline(6) == (strata.compute_X(6), strata.compute_B(6))

@@ -193,6 +193,12 @@ class TestSerialization:
         assert str(P("-t^-2+3")) == "3-t^-2"
         assert P("t^10+t^-1").latex() == "t^{10}+t^{-1}"
 
+    @pytest.mark.parametrize("text", ["1 2", "t2", "t 2", "2t^2 3t", "t^1 0", "2 * t"])
+    def test_malformed_strings_raise(self, text):
+        # each once parsed silently, as 12, t+2, t+2, 2t^23+t, t^10 and 2t
+        with pytest.raises(ValueError, match="cannot parse"):
+            LaurentPoly.from_string(text)
+
     def test_big_coefficients_round_trip(self):
         p = LaurentPoly({0: 10**40, -5: -(2**80)})
         assert LaurentPoly.from_json(p.to_json()) == p

@@ -19,7 +19,6 @@ from hilbstrata.qseries import (
     series_poincare_H,
     series_Y0,
     series_Y0_dual,
-    times_factors,
 )
 
 P = LaurentPoly.from_string
@@ -133,15 +132,16 @@ class TestFactorSteps:
         inverse = self.factor(t_exp, q_exp, s.order).inv()
         assert s.div_one_minus(t_exp, q_exp) == s * inverse
 
-    @given(laurent_series, st.lists(
+    @given(st.integers(0, 7), st.lists(
         st.tuples(st.integers(-3, 3), st.integers(1, 9), st.sampled_from([1, -1])),
         max_size=5,
     ))
-    def test_times_factors_is_product_with_product_factors(self, s, factors):
-        expected = s * product_factors(factors, s.order)
-        out = times_factors(s, factors)
-        assert out == expected
-        assert out.coeffs is not s.coeffs  # never the input's list, even with no step
+    def test_product_factors_is_cauchy_product_of_single_factors(self, order, factors):
+        expected = QSeries.one(order)
+        for t_exp, q_exp, power in factors:
+            single = self.factor(t_exp, q_exp, order)
+            expected = expected * (single if power == 1 else single.inv())
+        assert product_factors(factors, order) == expected
 
 
 class TestProductFactors:

@@ -452,7 +452,7 @@ class TestVerifyAll:
     def test_corrupted_entry_reports_coordinates(self):
         order = 6
         r = build_R(mu_max(order), order)
-        x = compute_X(order, r_matrix=r)
+        x = compute_X(order)
         x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + ONE  # corrupt X[2][3]
         bad = mismatches(grassmannian_cells(r, x))
         assert bad
@@ -472,8 +472,8 @@ class TestVerifyAll:
         # B is inverted from its own rows, so a fault in X shows up here
         true_compute_X = strata.compute_X
 
-        def corrupted(order, r_matrix=None):
-            x = true_compute_X(order, r_matrix=r_matrix)
+        def corrupted(order):
+            x = true_compute_X(order)
             x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + ONE  # corrupt X[2][3]
             return x
 
@@ -561,3 +561,11 @@ class TestErrorPaths:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             closed_form_B(1, -1)
+
+    @pytest.mark.parametrize("build", [
+        compute_X, compute_B, lambda order: build_R(2, order), verify_all,
+    ], ids=["compute_X", "compute_B", "build_R", "verify_all"])
+    def test_negative_order_names_the_order(self, build):
+        # not mu_max's "n must be >= 0", which names no parameter of these
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            build(-1)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +232,16 @@ class TestCli:
             assert res.returncode == 2, args
             assert res.stderr.endswith(f"hilbstrata: error: {message}\n"), args
             assert not res.stdout
+
+    @pytest.mark.parametrize("kind", ["y0", "hnnr"])
+    def test_max_m_rejected_for_kinds_without_m_columns(self, kind):
+        message = f"max_m applies only to the m-column kinds (bm, hm, chi), not {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_table(kind, max_n=4, max_m=2)
+        res = run_cli("table", kind, "--max-n", "4", "--max-m", "2")
+        assert res.returncode == 2
+        assert res.stderr.endswith(f"hilbstrata: error: {message}\n")
+        assert not res.stdout
 
     def test_verify_fast_passes_within_budget(self):
         import time
