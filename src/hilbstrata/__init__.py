@@ -45,7 +45,6 @@ from .diagrams import (
     tangent_character,
 )
 from .strata import (
-    NonPolynomialCoefficientError,
     StrataMatrix,
     VerificationReport,
     build_R,
@@ -64,7 +63,6 @@ __all__ = [
     "InexactDivisionError",
     "LaurentPoly",
     "MarkedDiagram",
-    "NonPolynomialCoefficientError",
     "NotInvertibleError",
     "QSeries",
     "StrataMatrix",

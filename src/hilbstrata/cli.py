@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-n", type=int, default=14, help="largest point count n")
     t.add_argument("--max-m", type=int, default=None,
                    help="largest m column of bm, hm, chi (default mu_max(max_n))")
-    t.add_argument("--max-r", type=int, default=4, help="largest nesting r (hnnr)")
+    t.add_argument("--max-r", type=int, default=None,
+                   help="largest nesting r of hnnr (default 4)")
     t.add_argument("--format", dest="fmt", choices=FORMATS, default="latex")
     t.add_argument("--cache-dir", default=os.environ.get("HILBSTRATA_CACHE_DIR"))
 
@@ -72,7 +73,7 @@ def cmd_verify(args, parser) -> int:
         # the cache logs its own repairs
         cache = SeriesCache(args.cache_dir)
         for kind in TABLE_KINDS:
-            build_table(kind, order, max_r=fp_r, cache=cache)
+            build_table(kind, order, max_r=fp_r if kind == "hnnr" else None, cache=cache)
     report = strata.verify_all(order, fp_max_r=fp_r, identity_order=id_order)
     if report.passed:
         print(report)

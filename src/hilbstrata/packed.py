@@ -1,15 +1,22 @@
 """The closed forms' arithmetic: q-series coefficients packed into ints.
 
-A coefficient p(t) whose t-powers are all >= a floor L is stored as the
-int p(2^K) 2^{-K L} (Kronecker substitution t -> 2^K; D. Harvey,
-J. Symbolic Comput. 44, 2009).  Evaluation at 2^K is a ring
-homomorphism, so intermediate values need no size bound; only the final
-coefficients, unpacked once as balanced base-2^K digits, must satisfy
-|c| < 2^{K-1}.  One K, from the nested-scheme rows at t = 1
+A polynomial p(t) is stored as the int p(2^K) (Kronecker substitution
+t -> 2^K; D. Harvey, J. Symbolic Comput. 44, 2009).  Evaluation at 2^K
+is a ring homomorphism, so intermediate values need no size bound; only
+the final coefficients, unpacked once as balanced base-2^K digits, must
+satisfy |c| < 2^{K-1}.  One K, from the nested-scheme rows at t = 1
 (nested_rows_at_one), bounds both families (digit_bits), so the B and X
-columns share the cached numerators N_a.  strata's module docstring
-gives the closed forms.  The matrix pipeline stays on LaurentPoly, so
-the two routes share no arithmetic kernel.
+columns share one cached T_m.
+
+strata's module docstring gives the closed forms: the q^n coefficient
+of T_m is sum_l (-1)^{l-m+1} d(n, l) t^{e(n,l)} [l, m-1]_t over
+l >= m-1, with e(n, l) = n + m-1 - m l + C(m-1, 2) and d(n, l) the
+partitions of n into l distinct parts.  Such a partition has
+n >= C(l+1, 2), and with j = l-m+1, C(l+1, 2) = C(j, 2) + j m + C(m, 2)
+and C(m, 2) + C(m-1, 2) = (m-1)^2 give e(n, l) >= C(j, 2) >= 0.  So
+every t-power is nonnegative, every shift below is a left shift and no
+step divides.  The matrix pipeline stays on LaurentPoly, so the two
+routes share no arithmetic kernel.
 """
 
 from __future__ import annotations
@@ -18,92 +25,64 @@ from functools import lru_cache
 from math import comb
 
 from .diagrams import mu_max
-from .laurent import InexactDivisionError, LaurentPoly
+from .laurent import ZERO, LaurentPoly, _raw
 
 
-def packed_column(
-    m: int, order: int, denom_shift: int, k_bits: int
-) -> tuple[list[int], list[int]]:
-    """The column's floors L_n and its packed coefficients E_n(2^K) 2^{-K L_n}.
-
-    Sums c_{m,a} N_a, each N_a shifted from its own floors to the
-    column's, applies the q-denominator as factor steps and divides by
-    prod_{i<m}(1 - 2^{K(i+1)}); a remainder raises InexactDivisionError.
-    """
-    x = 1 << k_bits  # t = 2^K
-    # floors of c_{m,a} N_a: the valuation C(a,2) + m - a of c_{m,a} plus N_a's
-    lows = [[comb(a, 2) + m - a + low for low in numerator_floors(a, order)]
-            for a in range(1, m + 1)]
-    floors = list(map(min, zip(*lows)))
-    column = [0] * (order + 1)
-    for a, low in enumerate(lows, 1):
-        # c_{m,a} t^{-valuation} = (-1)^{a+1} gauss(m, a) (1 + t + ... + t^{a-1}) at t = 2^K;
-        # every partial product of the Gaussian binomial is one, so each // is exact
-        c = (x ** a - 1) // (x - 1) * (1 if a % 2 else -1)
-        for i in range(a):
-            c = c * (1 - x ** (m - i)) // (1 - x ** (i + 1))
-        for n, p in enumerate(numerator(a, order, k_bits)):
-            if p:
-                column[n] += (c * p) << k_bits * (low[n] - floors[n])
-    # times prod_k 1/(1 - t^{k+denom_shift} q^k); floors never rise with n, so no shift is negative
-    kl = [k_bits * low for low in floors]
+def packed_column(m: int, order: int, denom_shift: int, k_bits: int) -> list[int]:
+    """E_n(2^K) for n <= order: T_m times prod_{k>=1} 1/(1 - t^{k+denom_shift} q^k),
+    the product applied as factor steps, one shift-and-add each."""
+    column = list(t_column(m, order, k_bits))
     for k in range(1, order + 1):
         ke = k_bits * (k + denom_shift)
         for n in range(k, order + 1):
             if column[n - k]:
-                column[n] += column[n - k] << (ke + kl[n - k] - kl[n])
-    divisor = 1
-    for i in range(1, m):
-        divisor *= 1 - (x << k_bits * i)  # 1 - t^{i+1}
-    quotients = []
-    for n, v in enumerate(column):
-        q, r = divmod(v, divisor)
-        if r:
-            raise InexactDivisionError(
-                f"coefficient of q^{n} at m={m} is not divisible by prod_(i<m)(1 - t^(i+1))")
-        quotients.append(q)
-    return floors, quotients
+                column[n] += column[n - k] << ke
+    return column
 
 
 @lru_cache(maxsize=None)
-def numerator_floors(a: int, order: int) -> tuple[int, ...]:
-    """L_n = min_{j<=n} (j - a l(j)) for n <= order, with l(j) = mu_max(j) - 1
-    the largest number of distinct parts of j: a floor under the t-powers of
-    N_a's q^n coefficient (a distinct-part partition of n with l parts gives
-    t^{n - a l}), nonincreasing in n."""
-    out, low = [], 0
-    for j in range(order + 1):
-        low = min(low, j - a * (mu_max(j) - 1))
-        out.append(low)
+def t_column(m: int, order: int, k_bits: int) -> tuple[int, ...]:
+    """T_m's q^n coefficients at t = 2^K for n <= order (module docstring);
+    zero for m > mu_max(order), where no n <= order has m-1 distinct parts."""
+    gauss = gauss_at(order, k_bits)
+    base = m - 1 + comb(m - 1, 2)
+    out = []
+    for n, counts in enumerate(distinct_parts(order)):
+        v = 0
+        for l in range(m - 1, len(counts)):
+            term = counts[l] * gauss[l][m - 1] << k_bits * (n + base - m * l)
+            v += -term if (l - m + 1) % 2 else term
+        out.append(v)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def numerator(a: int, order: int, k_bits: int) -> tuple[int, ...]:
-    """N_a = prod_{k>=1} (1 - t^{k-a} q^k), packed: p_n(2^K) 2^{-K L_n} for its
-    q^n coefficient p_n and the floors L_n of numerator_floors(a, order).
+def distinct_parts(order: int) -> tuple[tuple[int, ...], ...]:
+    """d(n, l), the partitions of n into l distinct parts, for n <= order and
+    l < mu_max(n) (no partition of n has more distinct parts).
 
-    A factor step subtracts out[n-k] shifted by K(k - a + L_{n-k} - L_n).
-    A negative shift drops low bits, which must be zero: a nonzero bit
-    means a floor stood above a real t-power, and raises.
+    Taking 1 off each part leaves l distinct parts of n - l, or l - 1 if
+    the smallest part was 1: d(n, l) = d(n-l, l) + d(n-l, l-1).
     """
-    kl = [k_bits * low for low in numerator_floors(a, order)]
-    out = [1] + [0] * order
-    for k in range(1, order + 1):
-        ke = k_bits * (k - a)
-        for n in range(order, k - 1, -1):
-            v = out[n - k]
-            if not v:
-                continue
-            shift = ke + kl[n - k] - kl[n]
-            if shift < 0:
-                if v & ((1 << -shift) - 1):
-                    raise InexactDivisionError(
-                        f"N_{a} at q^{n}: a t-power lies below its floor {kl[n] // k_bits}")
-                out[n] -= v >> -shift
-            else:
-                out[n] -= v << shift
-    return tuple(out)
+    d = [(1,)]
+    for n in range(1, order + 1):
+        row = [0] * mu_max(n)
+        for l in range(1, len(row)):
+            rest = d[n - l]
+            row[l] = (rest[l] if l < len(rest) else 0) + rest[l - 1]
+        d.append(tuple(row))
+    return tuple(d)
+
+
+@lru_cache(maxsize=None)
+def gauss_at(order: int, k_bits: int) -> tuple[tuple[int, ...], ...]:
+    """[l, j] at t = 2^K for 0 <= j <= l < mu_max(order), by Pascal's rule
+    [l, j] = [l-1, j-1] + t^j [l-1, j]."""
+    rows = [(1,)]
+    for l in range(1, mu_max(order)):
+        prev = rows[-1] + (0,)
+        rows.append((1,) + tuple(prev[j - 1] + (prev[j] << k_bits * j) for j in range(1, l + 1)))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -124,6 +103,18 @@ def nested_rows_at_one(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def chi_at_one(m: int, order: int) -> tuple[int, ...]:
+    """chi(B^[n]_m) = sum_{k>=m} (-1)^{k-m} C(k, m) R_k(n)|_{t=1} for n <= order:
+    the matrix pipeline's inversion at t = 1, where every B and X column
+    equals it; zero past mu_max(order)."""
+    out = [0] * (order + 1)
+    for k, row in enumerate(nested_rows_at_one(order)[m - 1:], m):
+        c = -comb(k, m) if (k - m) % 2 else comb(k, m)
+        out = [a + c * r for a, r in zip(out, row)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def digit_bits(order: int) -> int:
     """K: one bit more than max_{m,n} sum_k C(k, m) R_k(n)|_{t=1}, which
     bounds every coefficient of every B and X column (strata's module
@@ -135,17 +126,21 @@ def digit_bits(order: int) -> int:
     return bound.bit_length() + 1
 
 
-def unpack(v: int, k_bits: int, low: int) -> LaurentPoly:
+def unpack(v: int, k_bits: int) -> LaurentPoly:
     """The polynomial whose balanced base-2^K digits are those of v, the
-    lowest digit the coefficient of t^low."""
+    lowest digit the constant term."""
+    if not v:
+        return ZERO
     half, base = 1 << (k_bits - 1), 1 << k_bits
+    exp = ((v & -v).bit_length() - 1) // k_bits  # the zero low digits, skipped at once
+    v >>= k_bits * exp
     terms = {}
     while v:
         d = v & (base - 1)
         if d >= half:
             d -= base
         if d:
-            terms[low] = d
+            terms[exp] = d
         v = (v - d) >> k_bits
-        low += 1
-    return LaurentPoly(terms)
+        exp += 1
+    return _raw(terms)

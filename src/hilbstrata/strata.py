@@ -25,33 +25,43 @@ reads X, so "X == B.A" compares two independent inversions.
 
 Closed forms: with c_{m,a} = (-1)^{a+1} gauss(m,a) (t^{-1}+...+t^{-a}) t^{C(a,2)+m}
 (the k = 0 factor of the paper's products folded in), the numerators
-N_a = prod_{k>=1} (1 - t^{k-a} q^k) and S_m = sum_{a=1}^m c_{m,a} N_a,
+N_a = prod_{k>=1} (1 - t^{k-a} q^k) and T_m = sum_{a=1}^m c_{m,a} N_a
+divided by prod_{i=1}^{m-1} (1 - t^{i+1}),
 
-    sum_n E(B^[n]_m) q^n = S_m / prod_{i<m}(1-t^{i+1}) * prod_{k>=1} 1/(1-t^{k-1} q^k)
-    sum_n E(H^[n]_m) q^n = S_m / prod_{i<m}(1-t^{i+1}) * prod_{k>=1} 1/(1-t^{k+1} q^k)
+    sum_n E(B^[n]_m) q^n = T_m * prod_{k>=1} 1/(1-t^{k-1} q^k)
+    sum_n E(H^[n]_m) q^n = T_m * prod_{k>=1} 1/(1-t^{k+1} q^k)
 
 The families differ only in the q-denominator, the factors of
-series_poincare_H for B and of series_H for X, applied once to S_m as
-factor steps.  Neither route forms a Cauchy product of two series.
+series_poincare_H for B and of series_H for X, applied to T_m as
+factor steps.  T_m needs neither N_a nor a division: by Euler, N_a's
+q^n coefficient is sum_l (-1)^l d(n, l) t^{n-al}, d(n, l) the
+partitions of n into l distinct parts, and by Cauchy's theorem again
+sum_a c_{m,a} x^a = t^{m-1} x (1 + t + ... + t^{m-1}) prod_{i<m-1} (1 - t^i x),
+which at x = t^{-l}, divided by the denominator, is one Gaussian binomial:
+
+    [q^n] T_m = sum_{l>=m-1} (-1)^{l-m+1} d(n, l) t^{n+m-1-ml+C(m-1,2)} gauss(l, m-1)
+
+Its t-powers are >= C(l-m+1, 2) >= 0, since d(n, l) > 0 needs
+n >= C(l+1, 2) (module packed works the algebra).
+Neither route forms a Cauchy product of two series.
 
 The two routes run on different arithmetic: the matrix pipeline on
 LaurentPoly, the closed forms on packed ints (module packed, t -> 2^K),
-where a factor step is one shift-and-add, scaling by c_{m,a} one int
-multiply and the division by prod_{i<m}(1 - t^{i+1}) one exact divmod.
-Unpacking is exact when every final coefficient c has |c| < 2^{K-1}, so
-K is one bit more than a bound proven at t = 1 with plain ints, one for
-both families: X_m = sum_k Ginv(m, k) R_k and B_m = sum_k Ginv(m, k)
-(R_k series_Y0_dual) with |Ginv(m, k)|_1 = C(k, m), and R_k and
+where a factor step is one shift-and-add and T_m a sum of shifted
+plain-int products.  Unpacking is exact when every final coefficient c
+has |c| < 2^{K-1}, so K is one bit more than a bound proven at t = 1
+with plain ints, one for both families: X_m = sum_k Ginv(m, k) R_k and
+B_m = sum_k Ginv(m, k) (R_k series_Y0_dual) with |Ginv(m, k)|_1 = C(k, m), and R_k and
 R_k series_Y0_dual = q^{C(k,2)} series_poincare_H prod_{d<=k} 1/(1-t^d q^d)
 have nonnegative coefficients and equal R_k at t = 1, so every
 |coefficient| of X_m(n) and B_m(n) is at most sum_k C(k, m) R_k(n)|_{t=1}.
-N_a's q^n coefficient has t-powers >= n - a l(n), l(n) the largest
-number of distinct parts of n, which gives the floors.  A shift that
-would drop a nonzero bit and a division that leaves a remainder both raise.
+At t = 1 both families are chi(B^[n]_m) (series_Y0 is 1 there), so
+every unpacked coefficient is checked against packed.chi_at_one, and a
+mismatch raises ArithmeticError naming (m, n).
 
 Every entry is checked across both routes, against the fixed-point
-census of partitions, and at t = 1 against chi_series, which inverts
-the nested-scheme rows at t = 1 on plain ints.
+census of partitions, and at t = 1 against chi_series, which reads
+the same plain-int table as that guard.
 """
 
 from __future__ import annotations
@@ -67,10 +77,6 @@ from .diagrams import (
     count_partitions_with_mu, e_poly_Bnnr_fixed, e_poly_Hnnr_fixed, mu_max)
 from .laurent import ONE, ZERO, LaurentPoly, gauss_binomial
 from .qseries import QSeries
-
-
-class NonPolynomialCoefficientError(ArithmeticError):
-    """A published E-polynomial retained a negative power of t (an internal bug)."""
 
 
 @dataclass
@@ -173,17 +179,15 @@ def _minus(a, b):
 
 def closed_form_B(m: int, order: int) -> QSeries:
     """Closed-form generating function of E(B^[n]_m), exact to the order:
-    S_m times series_poincare_H's factors (see the module docstring).
+    T_m times series_poincare_H's factors (see the module docstring).
 
-    Each q-coefficient is divided exactly by prod_{i<m}(1 - t^{i+1}); a
-    residue of negative t-powers raises, since the strata E-polynomials
-    are honest polynomials.
+    A coefficient that at t = 1 is not chi(B^[n]_m) raises ArithmeticError.
     """
     return _closed_form(m, order, denom_shift=-1)
 
 
 def closed_form_X(m: int, order: int) -> QSeries:
-    """Closed-form generating function of E(H^[n]_m): S_m times series_H's
+    """Closed-form generating function of E(H^[n]_m): T_m times series_H's
     factors; see closed_form_B."""
     return _closed_form(m, order, denom_shift=+1)
 
@@ -194,13 +198,13 @@ def _closed_form(m: int, order: int, denom_shift: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     k_bits = packed.digit_bits(order)
+    chi = packed.chi_at_one(m, order)
     out = []
-    for n, (low, v) in enumerate(zip(*packed.packed_column(m, order, denom_shift, k_bits))):
-        c = packed.unpack(v, k_bits, low)
-        if not c.is_polynomial():
-            raise NonPolynomialCoefficientError(
-                f"coefficient of q^{n} at m={m} kept negative t-powers: {c}"
-            )
+    for n, v in enumerate(packed.packed_column(m, order, denom_shift, k_bits)):
+        c = packed.unpack(v, k_bits)
+        if c.eval_at_one() != chi[n]:
+            raise ArithmeticError(
+                f"coefficient of q^{n} at m={m} is {c}, which at t = 1 is not chi(B^[{n}]_{m})")
         out.append(c)
     return QSeries(out)
 
@@ -226,17 +230,15 @@ def chi_series(m: int, order: int) -> QSeries:
     """Generating function of Euler characteristics of the B^[n]_m strata.
 
     chi(B^[n]_m) = sum_{k>=m} (-1)^{k-m} C(k, m) R_k(n)|_{t=1}, the matrix
-    pipeline's inversion at t = 1 (where series_Y0_dual is 1), on the plain
-    ints of packed.nested_rows_at_one; coefficients are constant in t.
+    pipeline's inversion at t = 1 (where series_Y0_dual is 1), read off the
+    plain-int table packed.chi_at_one that also guards the closed forms;
+    coefficients are constant in t.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    rows = packed.nested_rows_at_one(order)
-    return QSeries([LaurentPoly.const(sum((-1) ** (k - m) * comb(k, m) * rows[k - 1][n]
-                                          for k in range(m, len(rows) + 1)))
-                    for n in range(order + 1)])
+    return QSeries([LaurentPoly.const(c) for c in packed.chi_at_one(m, order)])
 
 
 # -- the verification suite -----------------------------------------------

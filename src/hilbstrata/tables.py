@@ -53,25 +53,27 @@ class Table:
     cells: list[list[LaurentPoly]]  # cells[row][col]
 
 
-def check_bounds(kind: str, max_n: int, max_m: int | None, max_r: int) -> None:
+def check_bounds(kind: str, max_n: int, max_m: int | None, max_r: int | None) -> None:
     """Raise ValueError naming the first table bound out of range or not
     applying to the kind."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if max_m is not None and max_m < 1:
-        raise ValueError("max_m must be >= 1")
-    if max_m is not None and SERIES[kind][1] != "m":
-        m_kinds = ", ".join(k for k, (_, param, _) in SERIES.items() if param == "m")
-        raise ValueError(f"max_m applies only to the m-column kinds ({m_kinds}), not {kind}")
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
+    for name, bound, param in (("max_m", max_m, "m"), ("max_r", max_r, "r")):
+        if bound is None:
+            continue
+        if bound < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if SERIES[kind][1] != param:
+            kinds = ", ".join(k for k, (_, p, _) in SERIES.items() if p == param)
+            raise ValueError(
+                f"{name} applies only to the {param}-column kinds ({kinds}), not {kind}")
 
 
 def build_table(
     kind: str,
     max_n: int,
     max_m: int | None = None,
-    max_r: int = 4,
+    max_r: int | None = None,
     cache: SeriesCache | None = None,
 ) -> Table:
     """The table of one kind, rows n = 0..max_n.
@@ -79,14 +81,15 @@ def build_table(
     The m-columns run to max_m, which defaults to mu_max(max_n) and is
     clamped there with a warning on stderr, since rows above it are
     identically zero; other kinds take no max_m.  The r-columns of hnnr
-    run to max_r.  With a cache, each column is read through it, which
-    screens and repairs its entry.
+    run to max_r, 4 by default; other kinds take no max_r.  With a
+    cache, each column is read through it, which screens and repairs
+    its entry.
     """
     if kind not in SERIES:
         raise ValueError(f"unknown table kind {kind!r}")
     check_bounds(kind, max_n, max_m, max_r)
     name, param, fn = SERIES[kind]
-    count = max_r
+    count = max_r or 4
     if param == "m":
         bound = mu_max(max_n)
         if max_m is not None and max_m > bound:

@@ -1,17 +1,16 @@
 """Matrix pipeline, closed forms, Euler characteristics, verification suite."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
 
-from hilbstrata.diagrams import count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max
-from hilbstrata.laurent import ONE, ZERO, InexactDivisionError, LaurentPoly, gauss_binomial
+from hilbstrata.diagrams import (
+    count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max, partitions_of)
+from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
 from hilbstrata import laurent, packed, qseries, strata
 from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0, series_Y0_dual
 from hilbstrata.strata import (
     CheckResult,
-    NonPolynomialCoefficientError,
     VerificationReport,
     build_R,
     census_column_cells,
@@ -292,13 +291,13 @@ class TestPackedKernel:
     on LaurentPoly: these pin the packed kernel against the other one."""
 
     @pytest.fixture(scope="class")
-    def pipeline48(self):
-        x = compute_X(48)
-        return x, compute_B(48, x_matrix=x)
+    def pipeline80(self):
+        x = compute_X(80)
+        return x, compute_B(80, x_matrix=x)
 
-    @pytest.mark.parametrize("order", [14, 30, 48])
-    def test_closed_forms_equal_matrix_pipeline(self, pipeline48, order):
-        x, b = pipeline48
+    @pytest.mark.parametrize("order", [14, 30, 48, 80])
+    def test_closed_forms_equal_matrix_pipeline(self, pipeline80, order):
+        x, b = pipeline80
         for m in range(1, mu_max(order) + 2):  # one column past the top is zero
             cb = closed_form_B(m, order)
             cx = closed_form_X(m, order)
@@ -313,19 +312,19 @@ class TestPackedKernel:
                 for m in range(mu_max(order) + 1, mu_max(order) + 4):
                     assert closed_form(m, order) == QSeries.zero(order), (order, m)
 
-    def test_packed_ints_are_the_rows_at_t_equal_two(self, pipeline48):
-        # K = 1 packs at t = 2: before unpacking, the ints are E_n(2) 2^{-L_n}
-        x, b = pipeline48
+    def test_packed_ints_are_the_rows_at_t_equal_two(self, pipeline80):
+        # K = 1 packs at t = 2: before unpacking, the ints are E_n(2)
+        x, b = pipeline80
         for order in range(31):
             for denom_shift, family in ((-1, b), (1, x)):
                 for m in range(1, mu_max(order) + 1):
-                    floors, values = packed.packed_column(m, order, denom_shift, 1)
+                    values = packed.packed_column(m, order, denom_shift, 1)
                     for n in range(order + 1):
-                        want = family.get(m, n).eval_fraction(2) * Fraction(2) ** -floors[n]
-                        assert values[n] == want, (order, denom_shift, m, n)
+                        assert values[n] == family.get(m, n).eval_fraction(2), (
+                            order, denom_shift, m, n)
 
-    def test_digit_bits_bound_every_coefficient(self, pipeline48):
-        x, b = pipeline48
+    def test_digit_bits_bound_every_coefficient(self, pipeline80):
+        x, b = pipeline80
         for denom_shift, family in ((-1, b), (1, x)):
             bits = [max((abs(c).bit_length() for m in family.rows
                          for _, c in family.get(m, n).items()), default=0)
@@ -358,33 +357,44 @@ class TestPackedKernel:
     def test_one_digit_width_for_both_families(self):
         assert [packed.digit_bits(n) for n in (20, 48, 80)] == [17, 28, 37]
 
-    @pytest.mark.parametrize("a, n", [(1, 1), (2, 3), (3, 6), (4, 10)])
-    def test_floor_one_too_high_raises(self, monkeypatch, a, n):
-        # at these n the floor of N_a is its lowest t-power, n - a*l(n)
-        true_floors = packed.numerator_floors
+    def test_t_exponents_are_at_least_binomial(self):
+        # [q^n] T_m = sum_l (-1)^{l-m+1} d(n, l) t^e gauss(l, m-1) with
+        # e = n + m-1 - m l + C(m-1, 2) >= C(l-m+1, 2); at order 30 the
+        # packed T_m, unpacked with room to spare, is exactly that sum
+        order = 30
+        d = packed.distinct_parts(order)
+        for m in range(1, mu_max(order) + 2):
+            column = packed.t_column(m, order, 64)
+            for n in range(order + 1):
+                want = ZERO
+                for l in range(m - 1, len(d[n])):
+                    e = n + m - 1 - m * l + comb(m - 1, 2)
+                    assert e >= comb(l - m + 1, 2), (m, n, l)
+                    term = gauss_binomial(l, m - 1).shift(e) * d[n][l]
+                    want += -term if (l - m + 1) % 2 else term
+                assert packed.unpack(column[n], 64) == want, (m, n)
 
-        def raised(a2, order):
-            floors = list(true_floors(a2, order))
-            if a2 == a:
-                floors[n] += 1
-            return tuple(floors)
-
-        packed.numerator.cache_clear()  # a cached N_a would never read the floors
-        monkeypatch.setattr(packed, "numerator_floors", raised)
-        with pytest.raises(InexactDivisionError):
-            closed_form_B(4, 12)
+    def test_distinct_parts_table_counts_partitions(self):
+        d = packed.distinct_parts(20)
+        for n in range(21):
+            counts = [0] * mu_max(n)
+            for p in partitions_of(n):
+                if len(set(p)) == len(p):
+                    counts[len(p)] += 1
+            assert d[n] == tuple(counts), n
 
     def test_packed_value_off_by_one_raises(self, monkeypatch):
-        true_numerator = packed.numerator
+        # the t = 1 guard: every unpacked coefficient must be chi(B^[n]_m)
+        true_t_column = packed.t_column
 
-        def off_by_one(a, order, k_bits):
-            values = list(true_numerator(a, order, k_bits))
+        def off_by_one(m, order, k_bits):
+            values = list(true_t_column(m, order, k_bits))
             values[5] += 1
             return tuple(values)
 
-        monkeypatch.setattr(packed, "numerator", off_by_one)
+        monkeypatch.setattr(packed, "t_column", off_by_one)
         for closed_form in (closed_form_B, closed_form_X):
-            with pytest.raises(InexactDivisionError):
+            with pytest.raises(ArithmeticError, match=r"q\^5 at m=3 .* chi\(B\^\[5\]_3\)"):
                 closed_form(3, 8)
 
 
@@ -544,12 +554,6 @@ class TestVerifyAll:
 
 
 class TestErrorPaths:
-    def test_non_polynomial_guard_exists(self):
-        # the guard is unreachable through the public constructors, so
-        # exercise the exception type directly
-        with pytest.raises(NonPolynomialCoefficientError):
-            raise NonPolynomialCoefficientError("negative powers survived")
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             closed_form_B(0, 5)

@@ -243,6 +243,22 @@ class TestCli:
         assert res.stderr.endswith(f"hilbstrata: error: {message}\n")
         assert not res.stdout
 
+    @pytest.mark.parametrize("kind", ["bm", "hm", "chi", "y0"])
+    def test_max_r_rejected_for_kinds_without_r_columns(self, kind):
+        message = f"max_r applies only to the r-column kinds (hnnr), not {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_table(kind, max_n=3, max_r=7)
+        res = run_cli("table", kind, "--max-n", "3", "--max-r", "7")
+        assert res.returncode == 2
+        assert res.stderr.endswith(f"hilbstrata: error: {message}\n")
+        assert not res.stdout
+
+    def test_max_r_defaults_to_four_on_hnnr(self):
+        assert build_table("hnnr", max_n=6).col_labels == ["r=1", "r=2", "r=3", "r=4"]
+        res = run_cli("table", "hnnr", "--max-n", "6", "--max-r", "2", "--format", "csv")
+        assert res.returncode == 0
+        assert res.stdout.splitlines()[0] == "n,r=1,r=2"
+
     def test_verify_fast_passes_within_budget(self):
         import time
 
@@ -315,7 +331,7 @@ class TestCli:
 
         cache = SeriesCache(tmp_path)
         for kind in TABLE_KINDS:
-            build_table(kind, max_n=6, max_r=2, cache=cache)
+            build_table(kind, max_n=6, max_r=2 if kind == "hnnr" else None, cache=cache)
         files = sorted(tmp_path.glob("*.json"))
         assert any(f.name.startswith("epoly_H_stratum") for f in files)
         assert any(f.name.startswith("chi_B_stratum") for f in files)
