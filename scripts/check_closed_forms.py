@@ -1,16 +1,18 @@
-"""Pin every bm/hm closed-form column to digests of known-good values.
+"""Pin every bm/hm column of both routes to digests of known-good values.
 
 Run from the repository root:
 
     PYTHONPATH=src python scripts/check_closed_forms.py [ORDER ...]
 
-For each order (default: all of DIGESTS) it builds closed_form_B(m, N)
-and closed_form_X(m, N) for m = 1..mu_max(N) + 1 (one zero column past
-the top), hashes their coefficients, term by term, and compares the
-SHA-256 digest with DIGESTS.  It prints one line per order with the
-best of three build times (memo caches cleared before each) and exits
-1 if any digest differs; a mismatch prints the digest it got, which is
-how a new order is pinned.
+For each order (default: all of DIGESTS) it builds the B and X columns
+m = 1..mu_max(N) + 1 (one zero column past the top) twice: as
+closed_form_B(m, N) and closed_form_X(m, N), and as the rows of
+compute_B(N) and compute_X(N) (the matrix pipeline).  It hashes each
+route's coefficients, term by term, and compares the SHA-256 digest
+with DIGESTS, which both routes must match.  It prints one line per
+order with each route's best of three build times (memo caches cleared
+before each) and exits 1 if any digest differs; a mismatch prints the
+digest it got, which is how a new order is pinned.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import time
 
 from hilbstrata import packed, strata
 from hilbstrata.diagrams import mu_max
+from hilbstrata.qseries import QSeries
 
-# order -> SHA-256 of the columns, from the divided-sum closed forms
-# (the division-era packed kernel), which the matrix pipeline checked
+# order -> SHA-256 of the columns, pinned from the divided-sum closed forms
+# (the division-era packed kernel) and checked then against the matrix
+# pipeline on LaurentPoly; both routes must reproduce them
 DIGESTS = {
     0: "ecc4c35370ce95befd40ab5fb4a6aaa712f6882d1a4dcf49fb27eed4b07fbf23",
     1: "755085d9a1a79627015b77be937454a0de6133a86f3035585f185b6ffcf93270",
@@ -42,10 +46,20 @@ DIGESTS = {
 }
 
 
-def columns(order: int) -> list:
+def closed_form_columns(order: int) -> list:
     """Every bm and hm column at the order, one zero column past the top."""
     return [closed_form(m, order) for closed_form in (strata.closed_form_B, strata.closed_form_X)
             for m in range(1, mu_max(order) + 2)]
+
+
+def matrix_columns(order: int) -> list:
+    """The same columns, in the same layout, from the matrix pipeline."""
+    return [family.rows.get(m, QSeries.zero(order))
+            for family in (strata.compute_B(order), strata.compute_X(order))
+            for m in range(1, mu_max(order) + 2)]
+
+
+ROUTES = (("closed forms", closed_form_columns), ("matrix pipeline", matrix_columns))
 
 
 def digest(cols: list) -> str:
@@ -57,7 +71,7 @@ def digest(cols: list) -> str:
     return h.hexdigest()
 
 
-def best_of_three(order: int) -> tuple[float, list]:
+def best_of_three(columns, order: int) -> tuple[float, list]:
     """The columns and the best of three build times, memo caches cleared each time."""
     times = []
     for _ in range(3):
@@ -73,11 +87,14 @@ def best_of_three(order: int) -> tuple[float, list]:
 def main(argv: list[str]) -> int:
     bad = 0
     for order in [int(a) for a in argv] or sorted(DIGESTS):
-        elapsed, cols = best_of_three(order)
-        got = digest(cols)
-        ok = DIGESTS.get(order) == got
-        bad += not ok
-        print(f"order {order:3}: {'ok' if ok else 'MISMATCH ' + got}  {elapsed:.3f} s (best of 3)")
+        report = []
+        for name, columns in ROUTES:
+            elapsed, cols = best_of_three(columns, order)
+            got = digest(cols)
+            ok = DIGESTS.get(order) == got
+            bad += not ok
+            report.append(f"{name} {'ok' if ok else 'MISMATCH ' + got} {elapsed:.3f} s")
+        print(f"order {order:3}: {', '.join(report)} (best of 3)")
     return 1 if bad else 0
 
 

@@ -4,12 +4,12 @@ Two pipelines compute the same tables: closed-form q-series expansion,
 and the nested-scheme series (re-derived from torus fixed points)
 inverted through the Gaussian-binomial and punctured-plane relations.
 Every strata row is a q-series, and both pipelines build it from
-products of (1 - t^a q^b)^{+-1} factors: the closed forms on packed
-integers (t -> 2^K), the nested-scheme route on Laurent polynomials
-and the q-series factor steps.  Everything is
-exact integer arithmetic; the verification suite checks the pipelines
-against each other, against the fixed-point sums and the partition
-census, and against the known small tables.
+products of (1 - t^a q^b)^{+-1} factors, both on packed integers
+(t -> 2^K) by separate formulas.  Everything is exact integer
+arithmetic; the verification suite checks the pipelines against each
+other, against identities on Laurent polynomials and the q-series
+factor steps, against the fixed-point sums and the partition census,
+and against the known small tables.
 """
 
 from .laurent import (

@@ -1,4 +1,5 @@
-"""The closed forms' arithmetic: q-series coefficients packed into ints.
+"""Packed ints: the closed forms' kernel, and the digit bound and unpacking
+that the matrix pipeline shares.
 
 A polynomial p(t) is stored as the int p(2^K) (Kronecker substitution
 t -> 2^K; D. Harvey, J. Symbolic Comput. 44, 2009).  Evaluation at 2^K
@@ -15,8 +16,9 @@ partitions of n into l distinct parts.  Such a partition has
 n >= C(l+1, 2), and with j = l-m+1, C(l+1, 2) = C(j, 2) + j m + C(m, 2)
 and C(m, 2) + C(m-1, 2) = (m-1)^2 give e(n, l) >= C(j, 2) >= 0.  So
 every t-power is nonnegative, every shift below is a left shift and no
-step divides.  The matrix pipeline stays on LaurentPoly, so the two
-routes share no arithmetic kernel.
+step divides.  The matrix pipeline packs its own rows in strata with
+the same digit_bits and unpack; the two routes share no formula and no
+factor-step code.
 """
 
 from __future__ import annotations

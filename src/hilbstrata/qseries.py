@@ -206,9 +206,14 @@ def series_Hnnr(r: int, order: int) -> QSeries:
     """Generating function of E-polynomials of the nested (n, n+r) Hilbert schemes.
 
     Equals q^C(r,2) * series_H * prod_{d=1}^{r} 1/(1 - t^d q^d); in
-    particular the q^n coefficient vanishes for n < C(r,2).
+    particular the q^n coefficient vanishes for n < C(r,2), so for
+    C(r,2) > order the row is zero to the order and no factor step runs.
     """
-    *_, row = series_Hnnr_rows(r, order)  # raises ValueError for r < 1
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if comb(r, 2) > order:
+        return QSeries.zero(order)
+    *_, row = series_Hnnr_rows(r, order)
     return row
 
 
@@ -227,9 +232,11 @@ def _nested_rows(seed: QSeries, max_r: int) -> Iterator[QSeries]:
     """q^C(r,2) * seed * prod_{d<=r} 1/(1 - t^d q^d) for r = 1, ..., max_r.
 
     Seeded with series_H these are the nested-scheme rows R_r; seeded
-    with series_poincare_H they are R_r * series_Y0_dual, since the two
-    seeds differ by exactly series_Y0_dual's factors; seeded with 1 they
-    are the terms of Euler's expansion (euler_identity_check).
+    with 1 they are the terms of Euler's expansion (euler_identity_check).
+    The matrix pipeline runs its own running product on packed ints
+    (strata._invert_nested); seeded with series_poincare_H, the rows here
+    are R_r * series_Y0_dual, the rows B is inverted from, since the two
+    seeds differ by exactly series_Y0_dual's factors.
     """
     running = seed
     for r in range(1, max_r + 1):

@@ -16,7 +16,7 @@ q-binomial theorem prod_{i<m}(1 + t^i y) = sum_r t^C(r,2) gauss(m, r) y^r,
 so P(y) = sum_r t^C(r,2) R_r y^r = sum_m X_m prod_{i<m}(1 + t^i y), and
 dividing the factors (1 + y), (1 + t y), (1 + t^2 y), ... off P in turn
 (synthetic division) leaves X_1, X_2, ... as the remainders, one step
-a - t^k b on q-coefficients at a time (_invert_gauss).  X and B are one
+a - t^k b, k >= 0, on q-coefficients at a time (_invert_nested).  X and B are one
 helper over two seeds: the rows are the running product
 q^C(k,2) seed prod_{d<=k} 1/(1 - t^d q^d), advanced by one factor step
 per k, and seed series_H gives R_k while seed series_poincare_H gives
@@ -45,23 +45,30 @@ Its t-powers are >= C(l-m+1, 2) >= 0, since d(n, l) > 0 needs
 n >= C(l+1, 2) (module packed works the algebra).
 Neither route forms a Cauchy product of two series.
 
-The two routes run on different arithmetic: the matrix pipeline on
-LaurentPoly, the closed forms on packed ints (module packed, t -> 2^K),
-where a factor step is one shift-and-add and T_m a sum of shifted
-plain-int products.  Unpacking is exact when every final coefficient c
-has |c| < 2^{K-1}, so K is one bit more than a bound proven at t = 1
-with plain ints, one for both families: X_m = sum_k Ginv(m, k) R_k and
+Both routes run on packed ints (t -> 2^K, module packed), by different
+formulas and separate factor-step code: the closed forms sum shifted
+plain-int products into T_m (module packed), and the matrix pipeline
+runs its running product and synthetic division here, each step one
+left shift and one add or subtract.  They share only packed.digit_bits,
+packed.unpack and the t = 1 guard (_decode).  Unpacking is exact when
+every final coefficient c has |c| < 2^{K-1}, so K is one bit more than
+a bound proven at t = 1 with plain ints, one for both families:
+X_m = sum_k Ginv(m, k) R_k and
 B_m = sum_k Ginv(m, k) (R_k series_Y0_dual) with |Ginv(m, k)|_1 = C(k, m), and R_k and
 R_k series_Y0_dual = q^{C(k,2)} series_poincare_H prod_{d<=k} 1/(1-t^d q^d)
 have nonnegative coefficients and equal R_k at t = 1, so every
 |coefficient| of X_m(n) and B_m(n) is at most sum_k C(k, m) R_k(n)|_{t=1}.
 At t = 1 both families are chi(B^[n]_m) (series_Y0 is 1 there), so
-every unpacked coefficient is checked against packed.chi_at_one, and a
-mismatch raises ArithmeticError naming (m, n).
+every unpacked coefficient of either route is checked against
+packed.chi_at_one, and a mismatch raises ArithmeticError naming (m, n).
 
-Every entry is checked across both routes, against the fixed-point
-census of partitions, and at t = 1 against chi_series, which reads
-the same plain-int table as that guard.
+A fault in the shared part that keeps the values at t = 1 would pass
+the guard and the cross-route check alike, so verify_all also checks
+every X and B cell with LaurentPoly arithmetic alone: R == G.X with R
+built by qseries factor steps, X == B.A as a Cauchy product with
+series_Y0, and sum_m X_m == series_H.  Every entry is also checked
+against the fixed-point census of partitions, and at t = 1 against
+chi_series, which reads the same plain-int table as the guard.
 """
 
 from __future__ import annotations
@@ -115,9 +122,9 @@ def compute_X(order: int) -> StrataMatrix:
     Rows run over 1 <= m <= mu_max(order); the row cutoff is exact, not a
     truncation, because R_k vanishes below q^C(k, 2).  The rows R_k are
     the nested-row running product seeded with series_H, inverted by
-    _invert_gauss; compute_B differs only in the seed.
+    _invert_nested; compute_B differs only in the seed.
     """
-    return _invert_nested(qseries.series_H(order))
+    return _invert_nested(order, seed_shift=+1)
 
 
 def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
@@ -130,48 +137,53 @@ def compute_B(order: int, x_matrix: StrataMatrix | None = None) -> StrataMatrix:
     because existing callers pass X, among them the benchmark's
     matrix_pipeline (perfbench/workloads.py), which passes it positionally.
     """
-    return _invert_nested(qseries.series_poincare_H(order))
+    return _invert_nested(order, seed_shift=-1)
 
 
-def _invert_nested(seed: QSeries) -> StrataMatrix:
-    """The Gaussian inversion of the nested-row running product from seed."""
-    rows = qseries._nested_rows(seed, mu_max(seed.order))
-    return StrataMatrix(_invert_gauss(list(rows)))
+def _invert_nested(order: int, seed_shift: int) -> StrataMatrix:
+    """{m: sum_k Ginv(m, k) rows_k} for 1 <= m <= mu_max(order), on packed
+    ints at t = 2^K, K = packed.digit_bits(order).
 
+    rows_k = q^C(k,2) seed prod_{d<=k} 1/(1 - t^d q^d), with seed
+    prod_d 1/(1 - t^{d+seed_shift} q^d): series_H for +1, series_poincare_H
+    for -1.  Every factor step is col[n] += col[n-d] << K e.
 
-def _invert_gauss(rows: list[QSeries]) -> dict[int, QSeries]:
-    """{m: sum_k Ginv(m, k) rows[k-1]} for 1 <= m <= len(rows), by the
-    synthetic division of the module docstring.
-
-    Dividing level i by (1 + t^i y) from the top coefficient down, each
-    quotient coefficient is t^{-i}(a - b), a the level's coefficient and
-    b the quotient coefficient above; the remainder is the row m = i.
+    The inversion is the synthetic division of the module docstring.
+    Dividing level i (the dividend of the factor 1 + t^i y) from the top
+    coefficient down, each quotient coefficient is t^{-i}(a - b), a the
+    level's coefficient and b the quotient coefficient above.  Every
+    coefficient carries a pending t-shift, C(i+j, 2) - C(i, 2) for y^j in
+    level i, so a - b is a - t^j b in a's shift: one left shift and one
+    subtraction, and the remainder, the row m = i, carries no shift.
     Level 0's remainder is the row m = 0, which vanishes, so P's y^0
-    coefficient is never needed.  Every coefficient carries a pending
-    t-shift, so a step is one add_shifted per q-coefficient.
+    coefficient is never needed and stays 0.
     """
-    # level[j] = (coeffs, s): the y^j coefficient is t^s times coeffs
-    level = [None] + [(row.coeffs, comb(r, 2)) for r, row in enumerate(rows, 1)]
-    out = {}
-    for i in range(len(rows) + 1):
-        quotient, above = [], None
-        for coeff in reversed(level[1:]):
-            coeffs, s = _minus(coeff, above)
-            above = (coeffs, s - i)
-            quotient.append(above)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    k_bits, top = packed.digit_bits(order), mu_max(order)
+    running = [1] + [0] * order
+    for d in range(1, order + 1):
+        _div_one_minus(running, d + seed_shift, d, k_bits)
+    level = [[0] * (order + 1)]  # P's coefficients, y^0 first
+    for k in range(1, top + 1):
+        _div_one_minus(running, k, k, k_bits)
+        level.append([0] * comb(k, 2) + running[: order + 1 - comb(k, 2)])
+    rows = {}
+    for i in range(top + 1):
+        for j in range(len(level) - 2, -1, -1):
+            level[j] = [a - (b << k_bits * j) for a, b in zip(level[j], level[j + 1])]
         if i:
-            # no shift is pending: level i's y^j coefficient carries C(i+j,2) - C(i,2)
-            out[i] = QSeries(_minus(level[0], above)[0])
-        level = quotient[::-1]
-    return out
+            rows[i] = _decode(i, level[0], k_bits)
+        level = level[1:]
+    return StrataMatrix(rows)
 
 
-def _minus(a, b):
-    """a - b for (coeffs, pending t-shift) pairs, in a's shift; a if b is None."""
-    if b is None:
-        return a
-    (ca, sa), (cb, sb) = a, b
-    return [x.add_shifted(y, sb - sa, -1) for x, y in zip(ca, cb)], sa
+def _div_one_minus(col: list[int], t_exp: int, q_exp: int, k_bits: int) -> None:
+    """Multiply the packed column by 1/(1 - t^{t_exp} q^{q_exp}) in place, t_exp >= 0."""
+    shift = k_bits * t_exp
+    for n in range(q_exp, len(col)):
+        if col[n - q_exp]:
+            col[n] += col[n - q_exp] << shift
 
 
 # -- closed forms --------------------------------------------------------
@@ -198,9 +210,19 @@ def _closed_form(m: int, order: int, denom_shift: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     k_bits = packed.digit_bits(order)
-    chi = packed.chi_at_one(m, order)
+    return _decode(m, packed.packed_column(m, order, denom_shift, k_bits), k_bits)
+
+
+def _decode(m: int, column: list[int], k_bits: int) -> QSeries:
+    """Row m from its packed q-coefficients, each unpacked once.
+
+    Both families equal chi(B^[n]_m) at t = 1, so a coefficient that does
+    not (a digit bound too narrow, a fault in either packed route) raises
+    ArithmeticError naming (m, n).
+    """
+    chi = packed.chi_at_one(m, len(column) - 1)
     out = []
-    for n, v in enumerate(packed.packed_column(m, order, denom_shift, k_bits)):
+    for n, v in enumerate(column):
         c = packed.unpack(v, k_bits)
         if c.eval_at_one() != chi[n]:
             raise ArithmeticError(

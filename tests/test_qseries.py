@@ -194,6 +194,24 @@ class TestNamedSeries:
         assert s.order == 4
         assert all(c.is_zero() for c in s.coeffs)
 
+    def test_series_Hnnr_below_threshold_runs_no_factor_step(self, monkeypatch):
+        # R_r vanishes to the order once C(r, 2) > order: no r factor steps for it
+        calls = []
+        true_div = QSeries.div_one_minus
+
+        def counted(self, t_exp, q_exp):
+            calls.append((t_exp, q_exp))
+            return true_div(self, t_exp, q_exp)
+
+        monkeypatch.setattr(QSeries, "div_one_minus", counted)
+        assert series_Hnnr(2000, 3) == QSeries.zero(3)
+        assert series_Hnnr(4, 5) == QSeries.zero(5)
+        assert calls == []
+        assert series_Hnnr(3, 3).coeff(3) == ONE  # C(3, 2) = 3: still built
+        assert calls
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            series_Hnnr(0, 3)
+
     def test_negative_order_rejected(self):
         for build in (lambda: series_H(-1), lambda: series_Hnnr(2, -1),
                       lambda: QSeries.one(-2), lambda: QSeries.zero(-1)):

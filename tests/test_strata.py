@@ -253,8 +253,9 @@ class TestClosedForms:
 
 
 class TestOrder30:
-    """Both pipelines run on the factor-step kernel; these pin it against
-    the generic Cauchy product and the independent partition census."""
+    """The matrix pipeline runs on packed ints; these pin its rows at
+    order 30 against the closed forms, the LaurentPoly Cauchy product with
+    series_Y0_dual and the independent partition census."""
 
     ORDER = 30
 
@@ -287,8 +288,10 @@ class TestOrder30:
 
 
 class TestPackedKernel:
-    """The closed forms run on packed ints (t -> 2^K), the matrix pipeline
-    on LaurentPoly: these pin the packed kernel against the other one."""
+    """Both routes run on packed ints (t -> 2^K), by different formulas,
+    and share only digit_bits, unpack and the t = 1 guard: these pin the
+    packed values against LaurentPoly references and check that a fault
+    in the shared part is still caught."""
 
     @pytest.fixture(scope="class")
     def pipeline80(self):
@@ -396,6 +399,25 @@ class TestPackedKernel:
         for closed_form in (closed_form_B, closed_form_X):
             with pytest.raises(ArithmeticError, match=r"q\^5 at m=3 .* chi\(B\^\[5\]_3\)"):
                 closed_form(3, 8)
+
+    def test_matrix_pipeline_t_one_guard(self, monkeypatch):
+        # K = 4 is too narrow at order 14 (digit_bits(14) = 14): the unpacked
+        # digits are wrong, and the t = 1 guard names the first bad (m, n)
+        monkeypatch.setattr(packed, "digit_bits", lambda order: 4)
+        for compute in (compute_X, compute_B):
+            with pytest.raises(ArithmeticError,
+                               match=r"q\^(\d+) at m=(\d+) .* chi\(B\^\[\1\]_\2\)"):
+                compute(14)
+
+    def test_shared_decoding_fault_is_caught(self, monkeypatch):
+        # unpack times t keeps every value at t = 1, so the guard passes and
+        # both routes agree; the LaurentPoly-only checks must still fail
+        true_unpack = packed.unpack
+        monkeypatch.setattr(packed, "unpack", lambda v, k_bits: true_unpack(v, k_bits).shift(1))
+        report = verify_all(14)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert {"R == G.X (Grassmannian fibers)", "sum_m X[m][n] == E(H^[n])"} <= failed
+        assert "closed forms == matrix pipeline" not in failed
 
 
 class TestLemma:
