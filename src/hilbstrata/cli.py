@@ -6,7 +6,9 @@
                    [--cache-dir DIR]
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.  The
-cache directory defaults to $HILBSTRATA_CACHE_DIR when set.
+cache directory defaults to $HILBSTRATA_CACHE_DIR, read on each call of
+main, when set.  The parser is built once, at import, and every call of
+main parses with it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--max-r", type=int, default=None,
                    help="largest nesting r of hnnr (default 4)")
     t.add_argument("--format", dest="fmt", choices=FORMATS, default="latex")
-    t.add_argument("--cache-dir", default=os.environ.get("HILBSTRATA_CACHE_DIR"))
+    t.add_argument("--cache-dir")
 
     v = sub.add_parser("verify", help="run the identity/cross-check suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -45,8 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override the level's table order")
     v.add_argument("--max-r", type=int, default=None,
                    help="override the level's fixed-point nesting bound")
-    v.add_argument("--cache-dir", default=os.environ.get("HILBSTRATA_CACHE_DIR"))
+    v.add_argument("--cache-dir")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def cmd_table(args, parser) -> int:
@@ -83,11 +88,11 @@ def cmd_verify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    args.cache_dir = args.cache_dir or os.environ.get("HILBSTRATA_CACHE_DIR")
     if args.command == "table":
-        return cmd_table(args, parser)
-    return cmd_verify(args, parser)
+        return cmd_table(args, _PARSER)
+    return cmd_verify(args, _PARSER)
 
 
 if __name__ == "__main__":

@@ -123,26 +123,34 @@ def digit_bits(order: int) -> int:
     docstring has the proof); past mu_max(order) every R_k and every
     column vanish to the order."""
     rows = nested_rows_at_one(order)
-    bound = max(sum(comb(k, m) * row[n] for k, row in enumerate(rows, 1))
-                for m in range(1, len(rows) + 1) for n in range(order + 1))
+    bound = 0
+    for m in range(1, len(rows) + 1):
+        column = [0] * (order + 1)
+        for k, row in enumerate(rows[m - 1:], m):
+            c = comb(k, m)
+            column = [a + c * r for a, r in zip(column, row)]
+        bound = max(bound, *column)
     return bound.bit_length() + 1
 
 
 def unpack(v: int, k_bits: int) -> LaurentPoly:
-    """The polynomial whose balanced base-2^K digits are those of v, the
-    lowest digit the constant term."""
+    """The polynomial whose balanced base-2^K digits (each in [-2^{K-1}, 2^{K-1}),
+    K >= 2) are those of v, the lowest digit the constant term."""
     if not v:
         return ZERO
-    half, base = 1 << (k_bits - 1), 1 << k_bits
     exp = ((v & -v).bit_length() - 1) // k_bits  # the zero low digits, skipped at once
     v >>= k_bits * exp
+    # A balanced number of L digits has at least K(L-1) - 1 bits, so `count`
+    # digits hold v.  Adding the number whose `count` digits all equal 2^{K-1}
+    # makes every digit nonnegative: each step is one mask and one shift.
+    half, mask = 1 << (k_bits - 1), (1 << k_bits) - 1
+    count = (v.bit_length() + 1) // k_bits + 1
+    w = v + half * (((1 << k_bits * count) - 1) // mask)
     terms = {}
-    while v:
-        d = v & (base - 1)
-        if d >= half:
-            d -= base
+    while w:
+        d = (w & mask) - half
         if d:
             terms[exp] = d
-        v = (v - d) >> k_bits
+        w >>= k_bits
         exp += 1
     return _raw(terms)

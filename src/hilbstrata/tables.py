@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from csv import reader as csv_reader, writer as csv_writer
+from csv import reader as csv_reader
 from dataclasses import dataclass
 from typing import Callable
 
@@ -127,22 +127,19 @@ def render_latex(table: Table) -> str:
 
 
 def render_csv(table: Table) -> str:
-    buf = io.StringIO()
-    w = csv_writer(buf, lineterminator="\n")
-    w.writerow(["n"] + table.col_labels)
-    for n, row in zip(table.rows, table.cells):
-        w.writerow([n] + [str(p) for p in row])
-    return buf.getvalue()
+    # No field can hold a comma, a quote or a newline (n, the column labels,
+    # canonical cells), so no field needs CSV quoting.
+    lines = [",".join(["n", *table.col_labels])]
+    lines += [",".join([str(n), *map(str, row)]) for n, row in zip(table.rows, table.cells)]
+    return "\n".join(lines) + "\n"
 
 
 def render_json(table: Table) -> str:
-    payload = {
-        "kind": table.kind,
-        "rows": table.rows,
-        "cols": table.col_labels,
-        "cells": [[p.to_json() for p in row] for row in table.cells],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    """One JSON document: kind, rows and cols on the first line, then one
+    line per table row of cells."""
+    head = json.dumps({"kind": table.kind, "rows": table.rows, "cols": table.col_labels})
+    body = ",\n".join(json.dumps([p.to_json() for p in row]) for row in table.cells)
+    return f'{head[:-1]}, "cells": [\n{body}]}}\n'
 
 
 def render(table: Table, fmt: str) -> str:

@@ -1,5 +1,6 @@
 """Matrix pipeline, closed forms, Euler characteristics, verification suite."""
 
+import random
 from math import comb
 
 import pytest
@@ -356,6 +357,28 @@ class TestPackedKernel:
             for k, row in enumerate(packed.nested_rows_at_one(order), 1):
                 assert row == tuple(products[k - 1].coeff(n).eval_at_one()
                                     for n in range(order + 1)), (order, k)
+
+    def test_digit_bits_is_the_direct_sum_bound(self):
+        # the column-at-a-time accumulation keeps the direct double sum's K
+        for order in range(61):
+            rows = packed.nested_rows_at_one(order)
+            bound = max(sum(comb(k, m) * row[n] for k, row in enumerate(rows, 1))
+                        for m in range(1, len(rows) + 1) for n in range(order + 1))
+            assert packed.digit_bits(order) == bound.bit_length() + 1, order
+
+    def test_unpack_round_trips_balanced_digits(self):
+        rng = random.Random(14)
+        for k_bits in range(2, 41):
+            half = 1 << (k_bits - 1)
+            for _ in range(40):
+                digits = [rng.randrange(-half, half) for _ in range(rng.randrange(1, 30))]
+                digits[-1] = digits[-1] or -half  # a nonzero top digit, of either sign
+                digits = [0] * rng.randrange(6) + digits  # a run of zero low digits
+                v = sum(d << k_bits * i for i, d in enumerate(digits))
+                want = LaurentPoly((e, d) for e, d in enumerate(digits) if d)
+                assert packed.unpack(v, k_bits) == want, (k_bits, digits)
+            assert packed.unpack(-half, k_bits) == LaurentPoly.const(-half)
+            assert packed.unpack(half, k_bits) == LaurentPoly({0: -half, 1: 1}.items())
 
     def test_one_digit_width_for_both_families(self):
         assert [packed.digit_bits(n) for n in (20, 48, 80)] == [17, 28, 37]

@@ -1,5 +1,7 @@
 """Table assembly, rendering round trips, the series cache and the CLI."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -9,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from hilbstrata import cli
 from hilbstrata.cache import SeriesCache
+from hilbstrata.diagrams import mu_max
 from hilbstrata.laurent import LaurentPoly
 from hilbstrata.qseries import series_Y0
 from hilbstrata.tables import (
     FORMATS,
+    TABLE_KINDS,
     build_table,
     render,
     render_csv,
@@ -104,6 +109,32 @@ class TestRenderers:
         assert back.kind == "hm"
         assert back.rows == table.rows
         assert back.cells == table.cells
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_csv_equals_csv_writer_rendering(self, kind):
+        table = build_table(kind, max_n=14)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["n"] + table.col_labels)
+        for n, row in zip(table.rows, table.cells):
+            writer.writerow([n] + [str(p) for p in row])
+        assert render_csv(table) == buf.getvalue()
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_json_is_a_header_line_plus_one_line_per_row(self, kind):
+        table = build_table(kind, max_n=14)
+        text = render_json(table)
+        payload = {
+            "kind": table.kind,
+            "rows": table.rows,
+            "cols": table.col_labels,
+            "cells": [[p.to_json() for p in row] for row in table.cells],
+        }
+        assert json.loads(text) == payload
+        lines = text.splitlines()
+        assert len(lines) == 1 + len(table.rows)
+        for n, line in enumerate(lines[1:]):
+            assert json.loads(line.rstrip(",").removesuffix("]}")) == payload["cells"][n]
 
     def test_output_is_deterministic(self):
         assert (render_csv(build_table("bm", max_n=9, max_m=3))
@@ -342,3 +373,41 @@ class TestCli:
         assert capsys.readouterr().err.count("recomputing") == len(files)
         for f in files:
             json.loads(f.read_text())  # every torn entry was rewritten
+
+
+class TestInProcessCli:
+    """cli.main parses with one parser built at import; nothing of one call
+    carries over to the next."""
+
+    def test_parser_is_not_rebuilt_per_call(self, monkeypatch, capsys):
+        def rebuilt():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuilt)
+        assert cli.main(["table", "y0", "--max-n", "3", "--format", "csv"]) == 0
+        assert cli.main(["table", "bm", "--max-n", "3", "--format", "csv"]) == 0
+        assert "\nn,m=1,m=2,m=3\n" in capsys.readouterr().out
+
+    def test_cache_dir_env_read_per_call(self, tmp_path, monkeypatch, capsys):
+        # set after hilbstrata.cli was imported, then unset again
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        argv = ["table", "y0", "--max-n", "4", "--format", "csv"]
+        monkeypatch.setenv("HILBSTRATA_CACHE_DIR", str(env_dir))
+        assert cli.main(argv) == 0
+        assert list(env_dir.glob("*.json"))
+        for f in env_dir.glob("*.json"):
+            f.unlink()
+        assert cli.main(argv + ["--cache-dir", str(flag_dir)]) == 0  # the flag wins
+        assert list(flag_dir.glob("*.json")) and not list(env_dir.glob("*.json"))
+        monkeypatch.delenv("HILBSTRATA_CACHE_DIR")
+        for f in flag_dir.glob("*.json"):
+            f.unlink()
+        assert cli.main(argv) == 0
+        assert not list(tmp_path.glob("*/*.json"))
+
+    def test_successive_calls_share_no_options(self, capsys):
+        assert cli.main(["table", "bm", "--max-n", "6", "--max-m", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "n,m=1,m=2"
+        assert cli.main(["table", "bm", "--max-n", "6"]) == 0  # latex, every m column
+        labels = " & ".join(f"$m={m}$" for m in range(1, mu_max(6) + 1))
+        assert capsys.readouterr().out.splitlines()[1] == f"$n$ & {labels} " + r"\\\hline"
