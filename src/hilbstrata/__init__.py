@@ -22,7 +22,6 @@ from .qseries import (
     QSeries,
     euler_identity_check,
     product_factors,
-    q_pochhammer,
     series_H,
     series_Hnnr,
     series_Hnnr_rows,
@@ -87,7 +86,6 @@ __all__ = [
     "partitions_of",
     "product_factors",
     "q_boxes",
-    "q_pochhammer",
     "series_H",
     "series_Hnnr",
     "series_Hnnr_rows",

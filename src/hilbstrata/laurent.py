@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -68,10 +67,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_polynomial(self) -> bool:
-        """True iff no exponent is negative."""
-        return all(e >= 0 for e in self._terms)
-
     def degree(self) -> int:
         """Top exponent; raises on the zero polynomial."""
         if not self._terms:
@@ -87,11 +82,6 @@ class LaurentPoly:
     def eval_at_one(self) -> int:
         """Sum of all coefficients (the Euler-characteristic specialization)."""
         return sum(self._terms.values())
-
-    def eval_fraction(self, value: Fraction | int) -> Fraction:
-        """Exact evaluation at a rational point (negative exponents allowed)."""
-        value = Fraction(value)
-        return sum((value ** e) * c for e, c in self._terms.items()) + Fraction(0)
 
     def is_unit_monomial(self) -> bool:
         """True iff the value is +-t^k for some k."""
@@ -121,9 +111,6 @@ class LaurentPoly:
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return _coerce(other) + (-self)
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = _coerce(other)

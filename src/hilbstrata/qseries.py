@@ -18,7 +18,6 @@ All the named generating functions live here:
   series_Y0         prod_d (1 - t^{d-1} q^d)/(1 - t^{d+1} q^d)   (punctured plane)
   series_Y0_dual    the reciprocal product (dual E-polynomials)
   series_poincare_H prod_d 1/(1 - t^{d-1} q^d)          (Poincare polynomials)
-  q_pochhammer(k)   prod_{d=1}^k (1 - t^d q^d)
 """
 
 from __future__ import annotations
@@ -62,11 +61,6 @@ class QSeries:
         """Coefficient of q^n (zero beyond the truncation order)."""
         return self.coeffs[n] if 0 <= n <= self.order else ZERO
 
-    def truncate(self, order: int) -> QSeries:
-        if order >= self.order:
-            return self
-        return QSeries(self.coeffs[: order + 1])
-
     def shift_q(self, k: int) -> QSeries:
         """Multiply by q^k at fixed order (top coefficients fall off)."""
         if k == 0:
@@ -83,22 +77,11 @@ class QSeries:
 
     def __add__(self, other: QSeries) -> QSeries:
         """Termwise sum; both operands must have the same order."""
-        self._check_same_order(other, "+")
-        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: QSeries) -> QSeries:
-        """Termwise difference; both operands must have the same order."""
-        self._check_same_order(other, "-")
-        return QSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def _check_same_order(self, other: QSeries, op: str) -> None:
         # A sum is known only up to the smaller order; returning it would
         # drop the larger operand's top coefficients without a word.
         if self.order != other.order:
-            raise ValueError(
-                f"series orders differ ({self.order} {op} {other.order}); "
-                f"truncate one operand first"
-            )
+            raise ValueError(f"series orders differ ({self.order} + {other.order})")
+        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: QSeries) -> QSeries:
         """Cauchy product truncated at the smaller order."""
@@ -265,13 +248,6 @@ def series_Y0_dual(order: int) -> QSeries:
 def series_poincare_H(order: int) -> QSeries:
     """Generating function of Poincare polynomials of the Hilbert schemes."""
     return product_factors(((d - 1, d, -1) for d in range(1, order + 1)), order)
-
-
-def q_pochhammer(k: int, order: int) -> QSeries:
-    """The finite product prod_{d=1}^{k} (1 - t^d q^d), truncated."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return product_factors(((d, d, 1) for d in range(1, k + 1)), order)
 
 
 def euler_identity_check(t_exp_z: int, order: int) -> bool:

@@ -386,6 +386,9 @@ def verify_all(
 
     if order < 0:
         raise ValueError("order must be >= 0")
+    for name, bound in (("fp_max_r", fp_max_r), ("identity_order", identity_order)):
+        if bound < 1:
+            raise ValueError(f"{name} must be >= 1")
     top = mu_max(order)  # always >= 1
     r_ser = build_R(top, order)
     x = compute_X(order)

@@ -13,15 +13,14 @@ labelled columns.  Five kinds are built:
 
 render(table, fmt) emits one of FORMATS: LaTeX (publication-style cells
 such as "t^4+2 t^3-t"), CSV (canonical cells such as "t^4+2*t^3-t") or
-JSON (exact term lists); CSV and JSON re-parse to the same polynomials.
+JSON (exact term lists).  CSV and JSON cells re-parse to the same
+polynomials, through LaurentPoly.from_string and LaurentPoly.from_json.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import sys
-from csv import reader as csv_reader
 from dataclasses import dataclass
 from typing import Callable
 
@@ -147,25 +146,3 @@ def render(table: Table, fmt: str) -> str:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     return {"latex": render_latex, "csv": render_csv, "json": render_json}[fmt](table)
-
-
-# -- re-parsers (round-trip support) ---------------------------------------
-
-
-def table_from_csv(text: str, kind: str = "") -> Table:
-    rows_iter = csv_reader(io.StringIO(text))
-    header = next(rows_iter)
-    labels = header[1:]
-    rows, cells = [], []
-    for rec in rows_iter:
-        if not rec:
-            continue
-        rows.append(int(rec[0]))
-        cells.append([LaurentPoly.from_string(cell) for cell in rec[1:]])
-    return Table(kind, rows, labels, cells)
-
-
-def table_from_json(text: str) -> Table:
-    obj = json.loads(text)
-    cells = [[LaurentPoly.from_json(p) for p in row] for row in obj["cells"]]
-    return Table(obj["kind"], obj["rows"], obj["cols"], cells)

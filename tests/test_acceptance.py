@@ -135,10 +135,10 @@ def test_criterion_7_structural_properties():
         for m in b.rows:
             for n in range(15):
                 cell = b.get(m, n)
-                assert cell.is_polynomial(), ("B", m, n)
+                assert all(e >= 0 for e, _ in cell.items()), ("B", m, n)
                 if cell:
                     assert cell.degree() <= max(n - 1, 0), ("B degree", m, n)
-                assert x.get(m, n).is_polynomial(), ("X", m, n)
+                assert all(e >= 0 for e, _ in x.get(m, n).items()), ("X", m, n)
         h = series_H(14)
         for n in range(15):
             total = ZERO

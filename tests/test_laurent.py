@@ -68,11 +68,6 @@ class TestArithmetic:
         assert ZERO.eval_at_one() == 0
         assert P("3 t^3+4 t^2+2 t+1").eval_at_one() == 10
 
-    def test_is_polynomial(self):
-        assert not P("t^-1+1").is_polynomial()
-        assert ONE.is_polynomial()
-        assert P("t^4+2 t^3-t").is_polynomial()
-
     @given(laurent_polys, laurent_polys, laurent_polys)
     def test_ring_axioms(self, p, q, r):
         assert (p + q) + r == p + (q + r)
@@ -84,9 +79,10 @@ class TestArithmetic:
     @given(laurent_polys, laurent_polys)
     def test_mul_matches_rational_evaluation(self, p, q):
         # evaluation at a nonzero rational is a ring homomorphism
-        x = Fraction(3, 2)
-        assert (p * q).eval_fraction(x) == p.eval_fraction(x) * q.eval_fraction(x)
-        assert (p + q).eval_fraction(x) == p.eval_fraction(x) + q.eval_fraction(x)
+        def at(f, x=Fraction(3, 2)):
+            return sum((x ** e * c for e, c in f.items()), Fraction(0))
+        assert at(p * q) == at(p) * at(q)
+        assert at(p + q) == at(p) + at(q)
 
     @given(laurent_polys, laurent_polys)
     def test_exact_div_inverts_mul(self, p, q):
@@ -168,7 +164,7 @@ class TestGaussBinomial:
     def test_nonnegative_polynomial(self):
         for m, a in iproduct(range(10), range(10)):
             g = gauss_binomial(m, a)
-            assert g.is_polynomial()
+            assert all(e >= 0 for e, _ in g.items())
             assert all(c > 0 for _, c in g.items())
 
 

@@ -13,7 +13,6 @@ from hilbstrata.qseries import (
     QSeries,
     euler_identity_check,
     product_factors,
-    q_pochhammer,
     series_H,
     series_Hnnr,
     series_poincare_H,
@@ -69,12 +68,12 @@ class TestSeriesArithmetic:
         g = series_H(5)
         assert (f * g).order == 5
 
-    def test_add_sub_reject_mismatched_orders(self):
-        with pytest.raises(ValueError):
+    def test_add_rejects_mismatched_orders(self):
+        with pytest.raises(ValueError, match=r"series orders differ \(5 \+ 3\)"):
             series_H(5) + series_H(3)
         with pytest.raises(ValueError):
-            series_H(3) - series_H(5)
-        assert (series_H(5) + series_H(8).truncate(5)).order == 5
+            series_H(3) + series_H(5)
+        assert (series_H(5) + QSeries(series_H(8).coeffs[:6])).order == 5
 
     def test_inv_geometric(self):
         f = QSeries.one(3).mul_one_minus(2, 1)  # 1 - t^2 q
@@ -179,7 +178,7 @@ class TestNamedSeries:
     def test_series_H_nonnegative_cells(self):
         s = series_H(12)
         for c in s.coeffs:
-            assert c.is_polynomial()
+            assert all(e >= 0 for e, _ in c.items())
             assert all(v > 0 for _, v in c.items())
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -226,7 +225,7 @@ class TestNamedSeries:
         rows = list(qseries.series_Hnnr_rows(5, 12))
         assert len(rows) == 5
         for r, row in enumerate(rows, 1):
-            want = (series_H(12) * qseries.q_pochhammer(r, 12).inv()).shift_q(comb(r, 2))
+            want = (series_H(12) * product_factors(((d, d, 1) for d in range(1, r + 1)), 12).inv()).shift_q(comb(r, 2))
             assert row == want, r
             assert series_Hnnr(r, 12) == want, r
         with pytest.raises(ValueError):
@@ -241,7 +240,7 @@ class TestNamedSeries:
     def test_series_Hnnr_nonnegative_cells(self):
         for r in (1, 2, 3):
             for c in series_Hnnr(r, 10).coeffs:
-                assert c.is_polynomial()
+                assert all(e >= 0 for e, _ in c.items())
                 assert all(v > 0 for _, v in c.items())
 
     def test_series_Y0_examples(self):
@@ -276,11 +275,6 @@ class TestNamedSeries:
     def test_factorization_through_punctured_plane(self):
         order = 12
         assert series_poincare_H(order) * series_Y0(order) == series_H(order)
-
-    def test_q_pochhammer(self):
-        assert q_pochhammer(0, 5) == QSeries.one(5)
-        assert q_pochhammer(1, 2) == QSeries([ONE, P("-t"), ZERO])
-        assert q_pochhammer(2, 2) == QSeries([ONE, P("-t"), P("-t^2")])
 
 
 class TestEulerIdentity:

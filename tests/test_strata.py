@@ -96,7 +96,7 @@ class TestMatrices:
         r = build_R(6, 20)
         assert list(r.rows) == list(range(1, 7))
         for k, row in r.rows.items():
-            want = (series_H(20) * qseries.q_pochhammer(k, 20).inv()).shift_q(comb(k, 2))
+            want = (series_H(20) * qseries.product_factors(((d, d, 1) for d in range(1, k + 1)), 20).inv()).shift_q(comb(k, 2))
             assert row == want, k
             assert series_Hnnr(k, 20) == want, k
 
@@ -151,7 +151,7 @@ class TestPipeline:
         for m in b.rows:
             for n in range(15):
                 cell = b.get(m, n)
-                assert cell.is_polynomial()
+                assert all(e >= 0 for e, _ in cell.items())
                 if cell:
                     assert cell.degree() <= max(n - 1, 0), (m, n)
 
@@ -324,7 +324,8 @@ class TestPackedKernel:
                 for m in range(1, mu_max(order) + 1):
                     values = packed.packed_column(m, order, denom_shift, 1)
                     for n in range(order + 1):
-                        assert values[n] == family.get(m, n).eval_fraction(2), (
+                        cell = family.get(m, n)
+                        assert values[n] == sum(c << e for e, c in cell.items()), (
                             order, denom_shift, m, n)
 
     def test_digit_bits_bound_every_coefficient(self, pipeline80):
@@ -503,6 +504,18 @@ class TestVerifyAll:
         report = verify_all(0, fp_max_r=1, identity_order=1)
         assert report.passed
         assert all(c.cells_compared > 0 for c in report.checks)
+
+    @pytest.mark.parametrize("fp_max_r", [0, -3])
+    def test_fp_max_r_below_one_rejected(self, fp_max_r):
+        # not a report whose fixed-point check compared no cell
+        with pytest.raises(ValueError, match="^fp_max_r must be >= 1$"):
+            verify_all(5, fp_max_r=fp_max_r)
+
+    @pytest.mark.parametrize("identity_order", [0, -3])
+    def test_identity_order_below_one_rejected(self, identity_order):
+        # not an empty "G * Ginv == I", nor QSeries.zero's "order must be >= 0"
+        with pytest.raises(ValueError, match="^identity_order must be >= 1$"):
+            verify_all(5, identity_order=identity_order)
 
     def test_corrupted_entry_reports_coordinates(self):
         order = 6

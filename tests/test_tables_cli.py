@@ -19,18 +19,31 @@ from hilbstrata.qseries import series_Y0
 from hilbstrata.tables import (
     FORMATS,
     TABLE_KINDS,
+    Table,
     build_table,
     render,
     render_csv,
     render_json,
     render_latex,
-    table_from_csv,
-    table_from_json,
 )
 
 from reference_data import B_TABLE, CHI_TABLE, Y0_TABLE
 
 P = LaurentPoly.from_string
+
+
+def table_from_csv(text, kind=""):
+    """The Table a CSV rendering describes, its cells re-parsed."""
+    header, *records = csv.reader(io.StringIO(text))
+    cells = [[P(cell) for cell in rec[1:]] for rec in records]
+    return Table(kind, [int(rec[0]) for rec in records], header[1:], cells)
+
+
+def table_from_json(text):
+    """The Table a JSON rendering describes, its cells re-parsed."""
+    obj = json.loads(text)
+    cells = [[LaurentPoly.from_json(p) for p in row] for row in obj["cells"]]
+    return Table(obj["kind"], obj["rows"], obj["cols"], cells)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
