@@ -204,6 +204,17 @@ class TestAlpha:
                     a = alpha(tangent_character(md))
                     assert 0 <= a <= dim
 
+    def test_alpha_is_cell_dimension(self):
+        # the n - C(r,2) first weights (-arm_J, leg_I + 1) are all positive; a
+        # second weight is positive exactly at a column top of J.  J has
+        # lambda_1 column tops; the r marks are among them and are skipped,
+        # and no crossing box is one, since each lies under a mark.
+        for n in range(17):
+            for r in range(5):
+                for md in enumerate_marked(n, r):
+                    lambda_1 = md.parts[0] if md.parts else 0
+                    assert alpha(tangent_character(md)) == n - comb(r, 2) - r + lambda_1, (md, r)
+
 
 class TestFixedPointEPolys:
     def test_examples(self):
@@ -237,19 +248,12 @@ class TestFixedPointEPolys:
                 e_poly_Hnnr_fixed(n, r)
 
     def test_census_equals_tangent_weight_sum(self):
-        # the per-fixed-point reference, one t^alpha per marked diagram.
-        # alpha is the cell dimension: the n - C(r,2) first weights
-        # (-arm_J, leg_I + 1) are all positive; a second weight is positive
-        # exactly at a column top of J.  J has lambda_1 column tops; the r
-        # marks are among them and are skipped, and no crossing box is one,
-        # since each lies under a mark.
+        # the per-fixed-point reference: one t^alpha per marked diagram
         for n in range(17):
             for r in range(5):
                 acc = {}
                 for md in enumerate_marked(n, r):
                     a = alpha(tangent_character(md))
-                    lambda_1 = md.parts[0] if md.parts else 0
-                    assert a == n - comb(r, 2) - r + lambda_1, (md, r)
                     acc[a] = acc.get(a, 0) + 1
                 assert e_poly_Hnnr_fixed(n, r) == LaurentPoly(acc), (n, r)
 
