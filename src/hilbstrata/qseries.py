@@ -5,10 +5,10 @@ beyond q^N is discarded.  Infinite products over a parameter d keep only
 the factors whose q-exponent is <= N, which is exact because every
 omitted factor is 1 + O(q^{N+1}).
 
-Two drivers run every product as factor steps (mul_one_minus and
-div_one_minus): product_factors multiplies a list of factors onto 1, and
-_nested_rows advances the running product of the nested rows by one
-factor per row.
+Every product runs as factor steps (mul_one_minus and div_one_minus):
+product_factors multiplies a list of factors onto 1, and the nested rows
+advance a running product by one factor per row, kept once per order for
+series_Hnnr (_hnnr_products) and run afresh from any seed by _nested_rows.
 
 All the named generating functions live here:
 
@@ -22,6 +22,7 @@ All the named generating functions live here:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -182,7 +183,7 @@ def product_factors(
 
 def series_H(order: int) -> QSeries:
     """Generating function of E-polynomials of Hilbert schemes of the plane."""
-    return product_factors(((d + 1, d, -1) for d in range(1, order + 1)), order)
+    return QSeries(_hnnr_products(order)[0].coeffs)
 
 
 def series_Hnnr(r: int, order: int) -> QSeries:
@@ -196,26 +197,42 @@ def series_Hnnr(r: int, order: int) -> QSeries:
         raise ValueError("r must be >= 1")
     if comb(r, 2) > order:
         return QSeries.zero(order)
-    *_, row = series_Hnnr_rows(r, order)
-    return row
+    products = _hnnr_products(order)
+    for k in range(1, r + 1):
+        if k not in products:  # one factor step per r not yet reached
+            products.setdefault(k, products[k - 1].div_one_minus(k, k))
+    return QSeries(products[r].coeffs).shift_q(comb(r, 2))
 
 
 def series_Hnnr_rows(max_r: int, order: int) -> Iterator[QSeries]:
-    """series_Hnnr(r, order) for r = 1, ..., max_r, in that order.
-
-    One running product series_H * prod_{d<=r} 1/(1 - t^d q^d) advances
-    by a single factor step per r; row r is that product times q^C(r,2).
-    """
+    """series_Hnnr(r, order) for r = 1, ..., max_r, in that order."""
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    return _nested_rows(series_H(order), max_r)
+    return (series_Hnnr(r, order) for r in range(1, max_r + 1))
+
+
+@lru_cache(maxsize=4)
+def _hnnr_products(order: int) -> dict[int, QSeries]:
+    """r -> the running product series_H * prod_{d<=r} 1/(1 - t^d q^d) at
+    one order, for r = 0, 1, ..., one factor step apart.
+
+    series_Hnnr adds the products on demand (setdefault, so concurrent
+    callers agree), and every column of a table, every cache probe and
+    build_R at that order share one running product.  Callers get copies
+    (series_H, series_Hnnr), since a QSeries's coefficient list is mutable
+    and the products here outlive them.  A few orders are kept (a cached
+    table probes at random orders); the products up to r = 19 at order
+    200 hold about 27 MB.
+    """
+    return {0: product_factors(((d + 1, d, -1) for d in range(1, order + 1)), order)}
 
 
 def _nested_rows(seed: QSeries, max_r: int) -> Iterator[QSeries]:
     """q^C(r,2) * seed * prod_{d<=r} 1/(1 - t^d q^d) for r = 1, ..., max_r.
 
-    Seeded with series_H these are the nested-scheme rows R_r; seeded
-    with 1 they are the terms of Euler's expansion (euler_identity_check).
+    Seeded with series_H these are the nested-scheme rows R_r (which
+    series_Hnnr keeps per order instead); seeded with 1 they are the terms
+    of Euler's expansion (euler_identity_check).
     The matrix pipeline runs its own running product on packed ints
     (strata._invert_nested); seeded with series_poincare_H, the rows here
     are R_r * series_Y0_dual, the rows B is inverted from, since the two

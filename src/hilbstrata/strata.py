@@ -64,11 +64,16 @@ packed.chi_at_one, and a mismatch raises ArithmeticError naming (m, n).
 
 A fault in the shared part that keeps the values at t = 1 would pass
 the guard and the cross-route check alike, so verify_all also checks
-every X and B cell with LaurentPoly arithmetic alone: R == G.X with R
-built by qseries factor steps, X == B.A as a Cauchy product with
-series_Y0, and sum_m X_m == series_H.  Every entry is also checked
-against the fixed-point census of partitions, and at t = 1 against
-chi_series, which reads the same plain-int table as the guard.
+every X and B cell by plain-int evaluation at the check's own K, never
+reading a packed value: R == G.X with R built by qseries factor steps,
+X == B.A with series_Y0's factors applied as int factor steps, and
+sum_m X_m == series_H in LaurentPoly arithmetic.  The product checks
+(these two, G * Ginv == I and the resummation lemma) compare each cell
+as p(2^K) == q(2^K), K two bits above the larger l1 norm bound of the
+two sides, read off the operands themselves (_width), which makes the
+comparison exact.  Every entry is also checked against the fixed-point
+census of partitions, and at t = 1 against chi_series, which reads the
+same plain-int table as the guard.
 """
 
 from __future__ import annotations
@@ -77,12 +82,13 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
+from operator import mul
 from typing import Iterable, Iterator
 
 from . import packed, qseries
 from .diagrams import (
     count_partitions_with_mu, e_poly_Bnnr_fixed, e_poly_Hnnr_fixed, mu_max)
-from .laurent import ONE, ZERO, LaurentPoly, gauss_binomial
+from .laurent import ZERO, LaurentPoly, gauss_binomial
 from .qseries import QSeries
 
 
@@ -238,14 +244,37 @@ def lemma_identity_check(m: int, k: int) -> bool:
     """Check sum_i (-1)^{m+i} t^{km-C(m,2)+C(i,2)-ik} gauss(m,i) == prod_{i<m}(1-t^{k-i})."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    lhs = ZERO
-    for i in range(m + 1):
-        term = gauss_binomial(m, i).shift(k * m - comb(m, 2) + comb(i, 2) - i * k)
-        lhs = lhs + (-term if (m + i) % 2 else term)
-    rhs = ONE
-    for i in range(m):
-        rhs = rhs * (ONE - LaurentPoly.t_power(k - i))
-    return lhs == rhs
+    return _lemma_holds(m, [k])[0]
+
+
+def _lemma_holds(m: int, ks: Iterable[int]) -> list[bool]:
+    """lemma_identity_check(m, k) for each k, with gauss(m, i) read and
+    evaluated once for all of them.
+
+    Both sides are multiplied by t^{-low}, low their least exponent, so
+    every exponent is >= 0.  With a = k - i, a factor 1 - t^a for a < 0
+    is -t^a (1 - t^{-a}), so the right side is (-1)^{#a<0} t^{s - low}
+    prod_i (1 - t^{|a|}), s the sum of the negative a: one left shift and
+    one subtraction per factor (an a = 0 factor leaves 0).  The left side
+    has l1 norm at most sum_i |gauss(m,i)|_1 and the right side at most
+    2^m, which gives K (see _width).
+    """
+    gauss = [gauss_binomial(m, i) for i in range(m + 1)]
+    k_bits = _width(sum(map(_norm, gauss)), 1 << m)
+    lg = _low(gauss)
+    values = [_at(g, k_bits, -lg) for g in gauss]
+    out = []
+    for k in ks:
+        exps = [k * m - comb(m, 2) + comb(i, 2) - i * k + lg for i in range(m + 1)]
+        negative = [k - i for i in range(m) if k < i]
+        low = min(*exps, sum(negative))
+        lhs = sum((-v if (m + i) % 2 else v) << k_bits * (e - low)
+                  for i, (v, e) in enumerate(zip(values, exps)))
+        rhs = 1 << k_bits * (sum(negative) - low)
+        for i in range(m):
+            rhs -= rhs << k_bits * abs(k - i)
+        out.append(lhs == (-rhs if len(negative) % 2 else rhs))
+    return out
 
 
 def chi_series(m: int, order: int) -> QSeries:
@@ -322,6 +351,59 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _at(p: LaurentPoly, k_bits: int, shift: int = 0) -> int:
+    """p(2^K) 2^{K shift} as an int, for p with every exponent + shift >= 0."""
+    terms = p._terms
+    if not terms:
+        return 0
+    if min(terms) + shift < 0:
+        raise ValueError(f"{p} times t^{shift} has a negative exponent")
+    return sum(c << k_bits * (e + shift) for e, c in terms.items())
+
+
+def _norm(p: LaurentPoly) -> int:
+    """The l1 norm: the sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p._terms.values()))
+
+
+def _low(polys: Iterable[LaurentPoly]) -> int:
+    """min(0, the least exponent of any of the polys)."""
+    return min((min(p._terms) for p in polys if p), default=0)
+
+
+def _width(*bounds: int) -> int:
+    """K for comparing two polynomials as ints at t = 2^K, given bounds on
+    their l1 norms: both have exponents >= 0 and coefficients of absolute
+    value at most the largest bound b < 2^L, L = b.bit_length(), so their
+    difference has coefficients below 2^{L+1} = 2^{K-1} with K = L + 2.
+    Such a polynomial is zero iff its value at 2^K is, since an int has
+    one expansion in balanced base-2^K digits (each in [-2^{K-1}, 2^{K-1})).
+    The bounds are read off the operands themselves, so a corrupted
+    operand widens K instead of aliasing."""
+    return max(bounds, default=0).bit_length() + 2
+
+
+def _ginv_cells(size: int) -> Iterator[Comparison]:
+    """Cells (i, j) of G * Ginv == I for 1 <= i, j <= size, as ints at t = 2^K:
+    sum_{l=i}^{j} (-1)^{j-l} gauss(l,i) gauss(j,l) t^{C(j-l,2)} == [i == j],
+    Ginv's entries (ginv_entry) written out.  The sum's l1 norm is at most
+    sum_l |gauss(l,i)|_1 |gauss(j,l)|_1, which gives K (_width)."""
+    labels = range(1, size + 1)
+    gauss = {(l, i): gauss_binomial(l, i) for l in labels for i in range(1, l + 1)}
+    low = _low(gauss.values())
+    norms = {key: _norm(g) for key, g in gauss.items()}
+    k_bits = _width(1, *(sum(norms[l, i] * norms[j, l] for l in range(i, j + 1))
+                         for j in labels for i in range(1, j + 1)))
+    at = {key: _at(g, k_bits, -low) for key, g in gauss.items()}
+    for i in labels:
+        for j in labels:
+            got = 0
+            for l in range(i, j + 1):
+                term = at[l, i] * at[j, l] << k_bits * comb(j - l, 2)
+                got += -term if (j - l) % 2 else term
+            yield [i, j], got, int(i == j) << k_bits * -2 * low
+
+
 def series_cells(where: list, got: QSeries, want: QSeries) -> Iterator[Comparison]:
     """Compare two series coefficient by coefficient, up to the larger order."""
     for n in range(max(got.order, want.order) + 1):
@@ -331,23 +413,77 @@ def series_cells(where: list, got: QSeries, want: QSeries) -> Iterator[Compariso
 def grassmannian_cells(
     r_matrix: StrataMatrix, x_matrix: StrataMatrix
 ) -> Iterator[Comparison]:
-    """Cells (r, n) of R_r == sum_m gauss(m, r) X_m (Grassmannian fibers)."""
+    """Cells (r, n) of R_r == sum_m gauss(m, r) X_m (Grassmannian fibers),
+    compared as ints at t = 2^K.
+
+    Every X cell is evaluated once, at one K for all r.  Times t^{-lg-lx}
+    (lg = lx = 0 unless an operand has a negative exponent), both sides
+    have exponents >= 0; the left side has l1 norm |R_r(n)|_1 and the right
+    side at most sum_m |gauss(m,r)|_1 |X_m(n)|_1, so K = _width of these.
+    """
+    rows = x_matrix.rows
+    gauss = {(m, r): gauss_binomial(m, r) for m in rows for r in r_matrix.rows}
+    lg = _low(gauss.values())
+    lx = min(_low(c for row in rows.values() for c in row.coeffs),
+             _low(c for row in r_matrix.rows.values() for c in row.coeffs) - lg)
+    order = max((row.order for row in r_matrix.rows.values()), default=0)
+    cells = [[row.coeff(n) for row in rows.values()] for n in range(order + 1)]
+    x_norms = [list(map(_norm, column)) for column in cells]
+    g_norms = {r: [_norm(gauss[m, r]) for m in rows] for r in r_matrix.rows}
+    k_bits = _width(*(max(_norm(cell), sum(map(mul, g_norms[r], x_norms[n])))
+                      for r, want in r_matrix.rows.items()
+                      for n, cell in enumerate(want.coeffs)))
+    x_at = [[_at(c, k_bits, -lx) for c in column] for column in cells]
     for r, want in r_matrix.rows.items():
-        got = QSeries.zero(want.order)
-        for m, row in x_matrix.rows.items():
-            g = gauss_binomial(m, r)
-            if g:
-                got = got + row.scale(g)
-        yield from series_cells([r], got, want)
+        g_at = [_at(gauss[m, r], k_bits, -lg) for m in rows]
+        for n, cell in enumerate(want.coeffs):
+            yield [r, n], sum(map(mul, g_at, x_at[n])), _at(cell, k_bits, -lg - lx)
 
 
 def convolution_cells(
     x_matrix: StrataMatrix, b_matrix: StrataMatrix, order: int
 ) -> Iterator[Comparison]:
-    """Cells (m, n) of X_m == B_m * series_Y0 (origin/punctured-plane split)."""
-    y0 = qseries.series_Y0(order)
+    """Cells (m, n) of X_m == B_m * series_Y0 (origin/punctured-plane split),
+    compared as ints at t = 2^K, one K per row.
+
+    The B_m cells are evaluated at 2^K and multiplied by series_Y0's
+    factors 1 - t^{d-1} q^d and 1/(1 - t^{d+1} q^d) as factor steps on
+    ints (_times_factor), every t-exponent >= 0, from B_m's first nonzero
+    cell on.  The l1 norm of a product is at most the product of the
+    norms, and the factors' norms are those of 1 + q^d and 1/(1 - q^d), so
+    |(B_m series_Y0)(n)|_1 <= sum_i |B_m(i)|_1 M(n-i) with M the series of
+    prod_d (1 + q^d)/(1 - q^d); K = _width of that and |X_m(n)|_1.
+    """
+    factors = [(t, q, -p) for t, q, p in qseries.y0_dual_factors(order)]
+    majorant = [1] + [0] * order
+    for _, q, p in factors:  # the majorant of (1 - x)^p is (1 - p |x|)^p
+        _times_factor(majorant, q, 0, p, sign=p)
     for m, want in x_matrix.rows.items():
-        yield from series_cells([m], b_matrix.rows[m] * y0, want)
+        cells = [want.coeff(n) for n in range(order + 1)]
+        row = [b_matrix.rows[m].coeff(n) for n in range(order + 1)]
+        first = next((n for n, c in enumerate(row) if c), order + 1)
+        low = min(_low(cells), _low(row))
+        norms = list(map(_norm, row))
+        k_bits = _width(*map(_norm, cells), *(
+            sum(map(mul, norms[: n + 1], majorant[n::-1])) for n in range(order + 1)))
+        col = [_at(c, k_bits, -low) for c in row[first:]]
+        for t, q, p in factors:
+            _times_factor(col, q, k_bits * t, p)
+        col[:0] = [0] * first
+        for n, cell in enumerate(cells):
+            yield [m, n], col[n], _at(cell, k_bits, -low)
+
+
+def _times_factor(col: list[int], q_exp: int, shift: int, power: int, sign: int = -1) -> None:
+    """Multiply the int column in place by (1 + sign 2^shift q^{q_exp})^power,
+    power 1 (from the top coefficient down) or -1 (from the bottom up)."""
+    ns = range(q_exp, len(col)) if power < 0 else range(len(col) - 1, q_exp - 1, -1)
+    if sign * power > 0:
+        for n in ns:
+            col[n] += col[n - q_exp] << shift
+    else:
+        for n in ns:
+            col[n] -= col[n - q_exp] << shift
 
 
 def census_column_cells(
@@ -395,13 +531,7 @@ def verify_all(
     b = compute_B(order)
 
     # the two inverses, as the identities they stand for
-    size = range(1, identity_order + 1)
-    run("G * Ginv == I", (
-        ([i, j],
-         sum((gauss_binomial(l, i) * ginv_entry(l, j) for l in range(i, j + 1)), ZERO),
-         ONE if i == j else ZERO)
-        for i in size for j in size
-    ))
+    run("G * Ginv == I", _ginv_cells(identity_order))
     y0_times_dual = (qseries.series_Y0(identity_order)
                      * qseries.series_Y0_dual(identity_order))
     run("A * Ainv == I", series_cells([], y0_times_dual, QSeries.one(identity_order)))
@@ -442,9 +572,9 @@ def verify_all(
         census_column_cells(x, b, order))
 
     # q-binomial resummation lemma and the Euler identity
+    ks = range(-2, 11)
     run("binomial resummation lemma", (
-        ([m, k], lemma_identity_check(m, k), True)
-        for m in range(1, 7) for k in range(-2, 11)
+        ([m, k], holds, True) for m in range(1, 7) for k, holds in zip(ks, _lemma_holds(m, ks))
     ))
     run("Euler product identity", (
         ([z], qseries.euler_identity_check(z, identity_order), True) for z in range(-5, 1)

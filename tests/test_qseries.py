@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
-from hilbstrata import qseries
+from hilbstrata import qseries, strata
+from hilbstrata.tables import build_table
 from hilbstrata.qseries import (
     NotInvertibleError,
     QSeries,
@@ -195,6 +196,7 @@ class TestNamedSeries:
 
     def test_series_Hnnr_below_threshold_runs_no_factor_step(self, monkeypatch):
         # R_r vanishes to the order once C(r, 2) > order: no r factor steps for it
+        qseries._hnnr_products.cache_clear()  # so that order 3 is built here
         calls = []
         true_div = QSeries.div_one_minus
 
@@ -210,6 +212,33 @@ class TestNamedSeries:
         assert calls
         with pytest.raises(ValueError, match="r must be >= 1"):
             series_Hnnr(0, 3)
+
+    def test_hnnr_table_runs_one_running_product(self, monkeypatch):
+        # series_H(20) once (20 steps), then one step per r: 20 + 6, where a
+        # product per column ran 6 * 20 + (1 + ... + 6) = 141
+        qseries._hnnr_products.cache_clear()
+        calls = []
+        for name in ("mul_one_minus", "div_one_minus"):
+            true_step = getattr(QSeries, name)
+
+            def counted(self, t_exp, q_exp, true_step=true_step):
+                calls.append((t_exp, q_exp))
+                return true_step(self, t_exp, q_exp)
+
+            monkeypatch.setattr(QSeries, name, counted)
+        build_table("hnnr", 20, max_r=6)
+        assert len(calls) == 26
+        strata.build_R(6, 20)
+        assert len(calls) == 26
+
+    def test_shared_running_product_is_never_handed_out(self):
+        # callers may corrupt a row in place; the next caller must not see it
+        want_h, want_r1, want_r3 = series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9)
+        for row in (series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9),
+                    *qseries.series_Hnnr_rows(3, 9), *strata.build_R(3, 9).rows.values()):
+            row.coeffs[5] = row.coeffs[5] + ONE
+        assert (series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9)) == (want_h, want_r1, want_r3)
+        assert series_H(9) == product_factors(((d + 1, d, -1) for d in range(1, 10)), 9)
 
     def test_negative_order_rejected(self):
         for build in (lambda: series_H(-1), lambda: series_Hnnr(2, -1),

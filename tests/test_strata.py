@@ -458,6 +458,15 @@ class TestLemma:
             for k in range(-2, 11):
                 assert lemma_identity_check(m, k), (m, k)
 
+    def test_false_identity_is_rejected(self, monkeypatch):
+        # one Gaussian binomial off by t^5 - t, which is 0 at t = 1
+        true_gauss = strata.gauss_binomial
+        monkeypatch.setattr(strata, "gauss_binomial", lambda m, a: true_gauss(m, a) + (
+            P("t^5-t") if (m, a) == (4, 2) else ZERO))
+        for k in range(-2, 11):
+            assert not lemma_identity_check(4, k), k
+            assert lemma_identity_check(3, k), k
+
 
 class TestChi:
     def test_reference_table(self):
@@ -549,6 +558,74 @@ class TestVerifyAll:
         report = verify_all(6, fp_max_r=2, identity_order=4)
         check = next(c for c in report.checks if c.name == "X == B.A (origin/punctured split)")
         assert check.failures == [[2, 3]]
+
+    def test_corrupted_R_reports_grassmannian_coordinates(self):
+        order = 6
+        r = build_R(mu_max(order), order)
+        x = compute_X(order)
+        assert not mismatches(grassmannian_cells(r, x))
+        r.rows[2].coeffs[4] = r.rows[2].coeffs[4] + P("t^3-t")  # corrupt R[2][4]
+        assert mismatches(grassmannian_cells(r, x)) == [[2, 4]]
+
+    def test_corruption_by_t_minus_a_power_of_two_never_aliases(self):
+        # t - 2^k is zero at t = 2^k: each check's K comes from its operands'
+        # norms, which the corruption widens, so no K can hide it
+        order = 6
+        r = build_R(mu_max(order), order)
+        b = compute_B(order)
+        for k in range(2, 65):
+            x = compute_X(order)
+            x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + LaurentPoly({1: 1, 0: -(1 << k)})
+            bad = mismatches(grassmannian_cells(r, x))
+            assert bad and all(n == 3 for _, n in bad), k
+            assert mismatches(convolution_cells(x, b, order)) == [[2, 3]], k
+
+    def test_corruption_with_negative_exponents_is_reported(self):
+        # the integer checks shift every operand to exponents >= 0 first
+        order = 6
+        r = build_R(mu_max(order), order)
+        x = compute_X(order)
+        b = compute_B(order)
+        x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + P("t^-2-1")  # corrupt X[2][3]
+        bad = mismatches(grassmannian_cells(r, x))
+        assert bad and all(n == 3 for _, n in bad)
+        assert mismatches(convolution_cells(x, b, order)) == [[2, 3]]
+        x = compute_X(order)
+        r.rows[2].coeffs[4] = r.rows[2].coeffs[4] + P("t^-1-1")  # corrupt R[2][4]
+        b.rows[3].coeffs[4] = b.rows[3].coeffs[4] + P("t^-3-t")  # corrupt B[3][4]
+        assert mismatches(grassmannian_cells(r, x)) == [[2, 4]]
+        bad = mismatches(convolution_cells(x, b, order))
+        assert [3, 4] in bad and all(m == 3 and n >= 4 for m, n in bad)
+
+    def test_corrupted_gauss_binomial_fails_its_checks(self, monkeypatch):
+        # + t^5 - t keeps [4, 2] at t = 1; the routes never read gauss_binomial
+        true_gauss = strata.gauss_binomial
+
+        def corrupted(m, a):
+            g = true_gauss(m, a)
+            return g + P("t^5-t") if (m, a) == (4, 2) else g
+
+        monkeypatch.setattr(strata, "gauss_binomial", corrupted)
+        report = verify_all(6, fp_max_r=2, identity_order=4)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"G * Ginv == I", "R == G.X (Grassmannian fibers)",
+                          "binomial resummation lemma"}
+
+    def test_evaluation_fault_is_caught(self, monkeypatch):
+        # the four product checks share one evaluation at t = 2^K: with its
+        # top term dropped, each of them must fail
+        true_at = strata._at
+
+        def drop_top(p, k_bits, shift=0):
+            if p:
+                p = p - LaurentPoly.t_power(p.degree(), p.coeff(p.degree()))
+            return true_at(p, k_bits, shift)
+
+        monkeypatch.setattr(strata, "_at", drop_top)
+        report = verify_all(14)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"G * Ginv == I", "R == G.X (Grassmannian fibers)",
+                          "X == B.A (origin/punctured split)", "binomial resummation lemma"}
 
     def test_corrupted_B_fails_census_column_sums(self, monkeypatch):
         true_compute_B = strata.compute_B
