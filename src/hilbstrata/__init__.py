@@ -24,7 +24,6 @@ from .qseries import (
     product_factors,
     series_H,
     series_Hnnr,
-    series_Hnnr_rows,
     series_poincare_H,
     series_Y0,
     series_Y0_dual,
@@ -88,7 +87,6 @@ __all__ = [
     "q_boxes",
     "series_H",
     "series_Hnnr",
-    "series_Hnnr_rows",
     "series_poincare_H",
     "series_Y0",
     "series_Y0_dual",

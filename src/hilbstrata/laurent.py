@@ -332,9 +332,11 @@ def gauss_binomial(m: int, a: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _q_pascal_row(m: int) -> tuple[LaurentPoly, ...]:
-    """[m, 0], ..., [m, m], built from row 0 one row at a time: one
-    add_shifted per entry, no products and no division."""
+    """[m, 0], ..., [m, m] for m >= 1: the cached row m - 1 extended by one
+    add_shifted per entry, no products and no division.  The rows below m
+    are read bottom-up, so each is built once, from its cached
+    predecessor, and no call recurses more than one row deep."""
     row = (ONE,)
-    for i in range(1, m + 1):
-        row = (ONE, *(row[a - 1].add_shifted(row[a], a) for a in range(1, i)), ONE)
-    return row
+    for i in range(1, m):
+        row = _q_pascal_row(i)
+    return (ONE, *(row[a - 1].add_shifted(row[a], a) for a in range(1, m)), ONE)

@@ -7,14 +7,13 @@ omitted factor is 1 + O(q^{N+1}).
 
 Every product runs as factor steps (mul_one_minus and div_one_minus):
 product_factors multiplies a list of factors onto 1, and the nested rows
-advance a running product by one factor per row, kept once per order for
-series_Hnnr (_hnnr_products) and run afresh from any seed by _nested_rows.
+are one running product per order (_hnnr_products), one factor step per
+row, which series_H, series_Hnnr and the Euler check all read.
 
 All the named generating functions live here:
 
   series_H          prod_d 1/(1 - t^{d+1} q^d)          (Hilbert scheme of the plane)
   series_Hnnr(r)    q^C(r,2) * series_H * prod_{d<=r} 1/(1 - t^d q^d)
-  series_Hnnr_rows  series_Hnnr(r) for r = 1..max_r, one factor step apart
   series_Y0         prod_d (1 - t^{d-1} q^d)/(1 - t^{d+1} q^d)   (punctured plane)
   series_Y0_dual    the reciprocal product (dual E-polynomials)
   series_poincare_H prod_d 1/(1 - t^{d-1} q^d)          (Poincare polynomials)
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .diagrams import mu_max
 from .laurent import ONE, ZERO, LaurentPoly
@@ -61,20 +60,6 @@ class QSeries:
     def coeff(self, n: int) -> LaurentPoly:
         """Coefficient of q^n (zero beyond the truncation order)."""
         return self.coeffs[n] if 0 <= n <= self.order else ZERO
-
-    def shift_q(self, k: int) -> QSeries:
-        """Multiply by q^k at fixed order (top coefficients fall off)."""
-        if k == 0:
-            return self
-        if k < 0:
-            raise ValueError("negative q-shifts are not supported")
-        n = self.order
-        if k > n:
-            return QSeries.zero(n)
-        return QSeries([ZERO] * k + self.coeffs[: n + 1 - k])
-
-    def scale(self, poly: LaurentPoly | int) -> QSeries:
-        return QSeries([c * poly for c in self.coeffs])
 
     def __add__(self, other: QSeries) -> QSeries:
         """Termwise sum; both operands must have the same order."""
@@ -195,20 +180,14 @@ def series_Hnnr(r: int, order: int) -> QSeries:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if comb(r, 2) > order:
+    shift = comb(r, 2)
+    if shift > order:
         return QSeries.zero(order)
     products = _hnnr_products(order)
     for k in range(1, r + 1):
         if k not in products:  # one factor step per r not yet reached
             products.setdefault(k, products[k - 1].div_one_minus(k, k))
-    return QSeries(products[r].coeffs).shift_q(comb(r, 2))
-
-
-def series_Hnnr_rows(max_r: int, order: int) -> Iterator[QSeries]:
-    """series_Hnnr(r, order) for r = 1, ..., max_r, in that order."""
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
-    return (series_Hnnr(r, order) for r in range(1, max_r + 1))
+    return QSeries([ZERO] * shift + products[r].coeffs[: order + 1 - shift])
 
 
 @lru_cache(maxsize=4)
@@ -216,32 +195,17 @@ def _hnnr_products(order: int) -> dict[int, QSeries]:
     """r -> the running product series_H * prod_{d<=r} 1/(1 - t^d q^d) at
     one order, for r = 0, 1, ..., one factor step apart.
 
-    series_Hnnr adds the products on demand (setdefault, so concurrent
-    callers agree), and every column of a table, every cache probe and
-    build_R at that order share one running product.  Callers get copies
-    (series_H, series_Hnnr), since a QSeries's coefficient list is mutable
-    and the products here outlive them.  A few orders are kept (a cached
-    table probes at random orders); the products up to r = 19 at order
-    200 hold about 27 MB.
+    The only builder of nested rows on the q-series side.  Its readers are
+    series_H, series_Hnnr (which adds the products on demand, by
+    setdefault, so concurrent callers agree), build_R, the columns of the
+    hnnr table, the cache probes and euler_identity_check: at one order
+    they all share one running product.  Callers get copies (series_H,
+    series_Hnnr), since a QSeries's coefficient list is mutable and the
+    products here outlive them.  A few orders are kept (a cached table
+    probes at random orders); the products up to r = 19 at order 200 hold
+    about 27 MB.
     """
     return {0: product_factors(((d + 1, d, -1) for d in range(1, order + 1)), order)}
-
-
-def _nested_rows(seed: QSeries, max_r: int) -> Iterator[QSeries]:
-    """q^C(r,2) * seed * prod_{d<=r} 1/(1 - t^d q^d) for r = 1, ..., max_r.
-
-    Seeded with series_H these are the nested-scheme rows R_r (which
-    series_Hnnr keeps per order instead); seeded with 1 they are the terms
-    of Euler's expansion (euler_identity_check).
-    The matrix pipeline runs its own running product on packed ints
-    (strata._invert_nested); seeded with series_poincare_H, the rows here
-    are R_r * series_Y0_dual, the rows B is inverted from, since the two
-    seeds differ by exactly series_Y0_dual's factors.
-    """
-    running = seed
-    for r in range(1, max_r + 1):
-        running = running.div_one_minus(r, r)
-        yield running.shift_q(comb(r, 2))
 
 
 def series_Y0(order: int) -> QSeries:
@@ -268,14 +232,23 @@ def series_poincare_H(order: int) -> QSeries:
 
 
 def euler_identity_check(t_exp_z: int, order: int) -> bool:
-    """Check the Euler expansion of prod (1 - z q^n) after q -> tq, z -> t^{t_exp_z}.
+    """Check the Euler expansion of prod (1 - z q^n) after q -> tq, z -> t^{t_exp_z},
+    both sides multiplied by series_H.
 
-    Left side: sum_{n>=0} (-1)^n z^n (tq)^C(n,2) / prod_{d<=n}(1 - t^d q^d),
-    term n being _nested_rows' row n seeded with 1; right side the
-    product; both expanded as truncated QSeries and compared exactly.
+    Euler: sum_{n>=0} (-1)^n z^n (tq)^C(n,2) / prod_{d<=n} (1 - t^d q^d)
+         = (1 - z) prod_{d>=1} (1 - z t^d q^d).
+    series_H has constant term 1, so multiplying both sides by it is
+    injective, and the check is equivalent to Euler's identity.  Times
+    series_H, term n >= 1 of the left side is (-1)^n t^{n z + C(n,2)}
+    series_Hnnr(n), a row of the running product that build_R and the hnnr
+    table read; the right side is series_H times the factors
+    (1 - t^{z+d} q^d) and (1 - t^z).  Both are compared as truncated series.
     """
-    lhs = QSeries.one(order)
-    for n, row in enumerate(_nested_rows(QSeries.one(order), mu_max(order)), 1):
-        lhs = lhs + row.scale(LaurentPoly.t_power(n * t_exp_z + comb(n, 2), (-1) ** n))
-    rhs = product_factors(((t_exp_z + d, d, 1) for d in range(1, order + 1)), order)
-    return lhs == rhs.scale(ONE - LaurentPoly.t_power(t_exp_z))
+    lhs = series_H(order).coeffs
+    for n in range(1, mu_max(order) + 1):
+        shift, sign = n * t_exp_z + comb(n, 2), (-1) ** n
+        lhs = [c.add_shifted(r, shift, sign) for c, r in zip(lhs, series_Hnnr(n, order).coeffs)]
+    rhs = series_H(order)
+    for d in range(1, order + 1):
+        rhs = rhs.mul_one_minus(t_exp_z + d, d)
+    return lhs == [c.add_shifted(c, t_exp_z, -1) for c in rhs.coeffs]

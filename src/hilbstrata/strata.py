@@ -118,8 +118,10 @@ def ginv_entry(m: int, k: int) -> LaurentPoly:
 
 def build_R(max_r: int, order: int) -> StrataMatrix:
     """Nested-scheme rows R_r = series_Hnnr(r, order) for 1 <= r <= max_r,
-    built by qseries.series_Hnnr_rows one factor step apart."""
-    return StrataMatrix(dict(enumerate(qseries.series_Hnnr_rows(max_r, order), 1)))
+    read off qseries' running product one factor step apart."""
+    if max_r < 1:
+        raise ValueError("max_r must be >= 1")
+    return StrataMatrix({r: qseries.series_Hnnr(r, order) for r in range(1, max_r + 1)})
 
 
 def compute_X(order: int) -> StrataMatrix:

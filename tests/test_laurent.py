@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic and Gaussian binomials."""
 
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbstrata import laurent
 from hilbstrata.laurent import (
     ONE,
     ZERO,
@@ -155,6 +157,39 @@ class TestGaussBinomial:
                 assert gauss_binomial(m, a) == want, (m, a)
                 want = (want * (ONE - LaurentPoly.t_power(m - a))).exact_div(
                     ONE - LaurentPoly.t_power(a + 1))
+
+    def test_each_q_pascal_row_is_built_once(self, monkeypatch):
+        # row l extends the cached row l - 1 by l - 1 add_shifted calls:
+        # 0 + 1 + ... + 11 = 66 for l <= 12, where rebuilding every row from
+        # row 0 ran C(13, 3) = 286
+        gauss_binomial.cache_clear()
+        laurent._q_pascal_row.cache_clear()
+        calls = []
+        true_add_shifted = LaurentPoly.add_shifted
+
+        def counted(self, other, k, sign=1):
+            calls.append(k)
+            return true_add_shifted(self, other, k, sign)
+
+        monkeypatch.setattr(LaurentPoly, "add_shifted", counted)
+        for l in range(1, 13):
+            for i in range(1, l + 1):
+                gauss_binomial(l, i)
+        assert len(calls) == 66
+
+    def test_q_pascal_rows_do_not_recurse_per_row(self):
+        gauss_binomial.cache_clear()
+        laurent._q_pascal_row.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            g = gauss_binomial(80, 2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert g == box_partition_poly(2, 78)
 
     def test_rejects_negative_arguments(self):
         for m, a in ((-1, 0), (3, -1)):

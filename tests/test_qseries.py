@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
 from hilbstrata import qseries, strata
+from hilbstrata.diagrams import mu_max
 from hilbstrata.tables import build_table
 from hilbstrata.qseries import (
     NotInvertibleError,
@@ -235,7 +236,7 @@ class TestNamedSeries:
         # callers may corrupt a row in place; the next caller must not see it
         want_h, want_r1, want_r3 = series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9)
         for row in (series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9),
-                    *qseries.series_Hnnr_rows(3, 9), *strata.build_R(3, 9).rows.values()):
+                    *strata.build_R(3, 9).rows.values()):
             row.coeffs[5] = row.coeffs[5] + ONE
         assert (series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9)) == (want_h, want_r1, want_r3)
         assert series_H(9) == product_factors(((d + 1, d, -1) for d in range(1, 10)), 9)
@@ -246,19 +247,18 @@ class TestNamedSeries:
             with pytest.raises(ValueError, match="order must be >= 0"):
                 build()
 
-    def test_shift_q_beyond_order(self):
-        s = series_H(3).shift_q(7)
-        assert s == QSeries.zero(3)
-
     def test_series_Hnnr_rows_agree_with_each_r(self):
-        rows = list(qseries.series_Hnnr_rows(5, 12))
-        assert len(rows) == 5
-        for r, row in enumerate(rows, 1):
-            want = (series_H(12) * product_factors(((d, d, 1) for d in range(1, r + 1)), 12).inv()).shift_q(comb(r, 2))
+        # build_R's rows against q^C(r,2) * series_H / (tq)_r by Cauchy
+        # product, series inversion and slicing
+        rows = strata.build_R(5, 12).rows
+        assert list(rows) == [1, 2, 3, 4, 5]
+        for r, row in rows.items():
+            unshifted = series_H(12) * product_factors(((d, d, 1) for d in range(1, r + 1)), 12).inv()
+            want = QSeries([ZERO] * comb(r, 2) + unshifted.coeffs[: 13 - comb(r, 2)])
             assert row == want, r
             assert series_Hnnr(r, 12) == want, r
-        with pytest.raises(ValueError):
-            list(qseries.series_Hnnr_rows(0, 12))
+        with pytest.raises(ValueError, match="max_r must be >= 1"):
+            strata.build_R(0, 12)
 
     def test_series_Hnnr_examples(self):
         assert series_Hnnr(2, 4).coeff(0) == ZERO
@@ -309,6 +309,24 @@ class TestNamedSeries:
 class TestEulerIdentity:
     def test_z_equal_one_degenerates(self):
         assert euler_identity_check(0, 8)
+
+    def test_reads_the_running_product_of_build_R(self, monkeypatch):
+        # once build_R has run at the order, the left side's rows are all
+        # built: the check runs only the right side's order mul_one_minus steps
+        strata.build_R(mu_max(12), 12)
+        calls = []
+        for name in ("mul_one_minus", "div_one_minus"):
+            true_step = getattr(QSeries, name)
+
+            def counted(self, t_exp, q_exp, name=name, true_step=true_step):
+                calls.append(name)
+                return true_step(self, t_exp, q_exp)
+
+            monkeypatch.setattr(QSeries, name, counted)
+        for z_exp in range(-5, 1):
+            calls.clear()
+            assert euler_identity_check(z_exp, 12), z_exp
+            assert calls == ["mul_one_minus"] * 12, z_exp
 
     @pytest.mark.parametrize("z_exp", range(-5, 1))
     def test_sweep(self, z_exp):
