@@ -51,7 +51,6 @@ from .strata import (
     closed_form_X,
     compute_B,
     compute_X,
-    lemma_identity_check,
     verify_all,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_marked",
     "euler_identity_check",
     "gauss_binomial",
-    "lemma_identity_check",
     "mu_max",
     "mu_of_partition",
     "partitions_of",

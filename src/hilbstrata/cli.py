@@ -2,8 +2,7 @@
 
   hilbstrata table {bm,hm,chi,y0,hnnr} [--max-n N] [--max-m M] [--max-r R]
                    [--format {latex,csv,json}] [--cache-dir DIR]
-  hilbstrata verify [--level {fast,full}] [--max-n N] [--max-r R]
-                   [--cache-dir DIR]
+  hilbstrata verify [--level {fast,full}] [--max-n N] [--cache-dir DIR]
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.  The
 cache directory defaults to $HILBSTRATA_CACHE_DIR, read on each call of
@@ -44,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the identity/cross-check suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")
     v.add_argument("--max-n", type=int, default=None,
-                   help="override the level's table order")
-    v.add_argument("--max-r", type=int, default=None,
-                   help="override the level's fixed-point nesting bound")
+                   help="override the level's order (8 fast, 14 full)")
     v.add_argument("--cache-dir")
     return parser
 
@@ -66,20 +63,16 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    order, fp_r, id_order = (14, 4, 12) if args.level == "full" else (8, 3, 8)
-    order = order if args.max_n is None else args.max_n
-    fp_r = fp_r if args.max_r is None else args.max_r
+    order = (14 if args.level == "full" else 8) if args.max_n is None else args.max_n
     if order < 0:
         parser.error("--max-n must be >= 0")
-    if fp_r < 1:
-        parser.error("--max-r must be >= 1")
     if args.cache_dir:
-        # screen every cached series a table at this order can read;
+        # screen every cached series a default table at this order reads;
         # the cache logs its own repairs
         cache = SeriesCache(args.cache_dir)
         for kind in TABLE_KINDS:
-            build_table(kind, order, max_r=fp_r if kind == "hnnr" else None, cache=cache)
-    report = strata.verify_all(order, fp_max_r=fp_r, identity_order=id_order)
+            build_table(kind, order, cache=cache)
+    report = strata.verify_all(order)
     if report.passed:
         print(report)
         return 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly
@@ -192,7 +193,9 @@ def e_poly_Hnnr_fixed(n: int, r: int) -> LaurentPoly:
     if n < comb(r, 2):
         return LaurentPoly()
     # weights[k] sums over the partitions with parts <= k; a difference keeps lambda_1 = k
-    weights = [sum(comb(e, r) * c for e, c in enumerate(row)) for row in _census(n + r)]
+    census = _census(n + r)
+    binoms = [comb(e, r) for e in range(len(census[0]))]
+    weights = [sum(map(mul, binoms, row)) for row in census]
     base = n - comb(r, 2) - r
     return LaurentPoly((base + k, w - v) for k, (w, v) in enumerate(zip(weights, [0] + weights)))
 

@@ -64,20 +64,11 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._terms.get(exp, 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         """Top exponent; raises on the zero polynomial."""
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
         return max(self._terms)
-
-    def valuation(self) -> int:
-        """Bottom exponent; raises on the zero polynomial."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self._terms)
 
     def eval_at_one(self) -> int:
         """Sum of all coefficients (the Euler-characteristic specialization)."""
@@ -167,9 +158,9 @@ class LaurentPoly:
         divisor becomes an ordinary polynomial, then long division runs
         from the top degree over the integers.
         """
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return LaurentPoly()
         dtop = divisor.degree()
         dlead = divisor._terms[dtop]
@@ -177,7 +168,7 @@ class LaurentPoly:
         quo: dict[int, int] = {}
         # Quotient valuation is fixed by the two valuations; anything below
         # it in the remainder can never be cancelled, so stop early there.
-        floor_exp = self.valuation() - divisor.valuation() + dtop
+        floor_exp = min(self._terms) - min(divisor._terms) + dtop
         while rem:
             top = max(rem)
             if top < floor_exp:

@@ -107,15 +107,6 @@ class StrataMatrix:
 # -- the matrix pipeline ------------------------------------------------
 
 
-def ginv_entry(m: int, k: int) -> LaurentPoly:
-    """Entry (m, k) of the inverse of G(k, m) = gauss(k, m):
-    (-1)^{k-m} t^{C(k-m,2)} gauss(k, m), zero for k < m."""
-    if k < m:
-        return ZERO
-    p = gauss_binomial(k, m).shift(comb(k - m, 2))
-    return -p if (k - m) % 2 else p
-
-
 def build_R(max_r: int, order: int) -> StrataMatrix:
     """Nested-scheme rows R_r = series_Hnnr(r, order) for 1 <= r <= max_r,
     read off qseries' running product one factor step apart."""
@@ -242,16 +233,10 @@ def _decode(m: int, column: list[int], k_bits: int) -> QSeries:
 # -- identities and Euler characteristics ---------------------------------
 
 
-def lemma_identity_check(m: int, k: int) -> bool:
-    """Check sum_i (-1)^{m+i} t^{km-C(m,2)+C(i,2)-ik} gauss(m,i) == prod_{i<m}(1-t^{k-i})."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _lemma_holds(m, [k])[0]
-
-
 def _lemma_holds(m: int, ks: Iterable[int]) -> list[bool]:
-    """lemma_identity_check(m, k) for each k, with gauss(m, i) read and
-    evaluated once for all of them.
+    """For each k, whether the resummation lemma
+    sum_i (-1)^{m+i} t^{km-C(m,2)+C(i,2)-ik} gauss(m,i) == prod_{i<m}(1-t^{k-i})
+    holds, with gauss(m, i) read and evaluated once for all k.
 
     Both sides are multiplied by t^{-low}, low their least exponent, so
     every exponent is >= 0.  With a = k - i, a factor 1 - t^a for a < 0
@@ -388,8 +373,9 @@ def _width(*bounds: int) -> int:
 def _ginv_cells(size: int) -> Iterator[Comparison]:
     """Cells (i, j) of G * Ginv == I for 1 <= i, j <= size, as ints at t = 2^K:
     sum_{l=i}^{j} (-1)^{j-l} gauss(l,i) gauss(j,l) t^{C(j-l,2)} == [i == j],
-    Ginv's entries (ginv_entry) written out.  The sum's l1 norm is at most
-    sum_l |gauss(l,i)|_1 |gauss(j,l)|_1, which gives K (_width)."""
+    Ginv's entries (-1)^{k-m} t^{C(k-m,2)} gauss(k, m) written out.  The
+    sum's l1 norm is at most sum_l |gauss(l,i)|_1 |gauss(j,l)|_1, which
+    gives K (_width)."""
     labels = range(1, size + 1)
     gauss = {(l, i): gauss_binomial(l, i) for l in labels for i in range(1, l + 1)}
     low = _low(gauss.values())
@@ -505,17 +491,14 @@ def census_column_cells(
             yield [n, tag], sum((family.get(m, n) for m in family.rows), ZERO), want
 
 
-def verify_all(
-    order: int,
-    fp_max_r: int = 3,
-    identity_order: int = 12,
-) -> VerificationReport:
+def verify_all(order: int) -> VerificationReport:
     """Run every internal identity and cross-pipeline check at the given order.
 
-    The fixed-point check compares the partition-census sums with the rows
-    of R for every r <= fp_max_r and n <= order; identity_order sizes the
-    pure series identity checks, independently of the table order.  A
-    check that compares no cell fails.
+    Every check size comes from the order.  The pure series identities
+    run at the order clamped to 8..12, and the fixed-point check compares
+    the partition-census sums with the rows of R for r <= min(mu_max(order), 4)
+    and n <= order, so no row it reads vanishes to the order.  A check
+    that compares no cell fails.
     """
     checks: list[CheckResult] = []
 
@@ -524,9 +507,7 @@ def verify_all(
 
     if order < 0:
         raise ValueError("order must be >= 0")
-    for name, bound in (("fp_max_r", fp_max_r), ("identity_order", identity_order)):
-        if bound < 1:
-            raise ValueError(f"{name} must be >= 1")
+    identity_order = min(max(order, 8), 12)
     top = mu_max(order)  # always >= 1
     r_ser = build_R(top, order)
     x = compute_X(order)
@@ -549,10 +530,10 @@ def verify_all(
         for m in family.rows
     ))
 
-    # fixed points against R; for r > top both sides vanish, since C(r, 2) > order
+    # fixed points against R, for the rows r <= 4 that reach the order
     run("fixed-point sums == product series", (
         ([r, n], e_poly_Hnnr_fixed(n, r), r_ser.get(r, n))
-        for r in range(1, fp_max_r + 1) for n in range(order + 1)
+        for r in range(1, min(top, 4) + 1) for n in range(order + 1)
     ))
 
     # Euler characteristics three ways: chi coefficients must be the

@@ -1,18 +1,19 @@
 """The fault-injection matrix: which checks of verify_all catch a fault in
 which kernel.
 
-Each case perturbs one kernel through monkeypatch by a term that vanishes
-at t = 1, so no t = 1 guard can see it, and pins the exact set of checks of
-verify_all(14, 4, 12) that fail.  Every memo cache of the package is
-cleared before and after each case, so that no perturbed value is read
-before the perturbation or outlives it.
+Each case perturbs one kernel through monkeypatch and pins the exact set
+of checks of verify_all(14) that fail.  A polynomial kernel is perturbed
+by a term that vanishes at t = 1, or multiplied by t, so no t = 1 guard
+can see it; the partition census gains one partition.  Every memo cache
+of the package is cleared before and after each case, so that no
+perturbed value is read before the perturbation or outlives it.
 """
 
 import sys
 
 import pytest
 
-from hilbstrata import laurent
+from hilbstrata import diagrams, laurent, packed, strata
 from hilbstrata.laurent import LaurentPoly
 from hilbstrata.qseries import QSeries
 from hilbstrata.strata import verify_all
@@ -22,8 +23,12 @@ P = LaurentPoly.from_string
 G_GINV = "G * Ginv == I"
 A_AINV = "A * Ainv == I"
 R_GX = "R == G.X (Grassmannian fibers)"
+X_BA = "X == B.A (origin/punctured split)"
+CLOSED_FORMS = "closed forms == matrix pipeline"
 FIXED_POINTS = "fixed-point sums == product series"
+CHI = "chi == B(1) == fixed-point census"
 SUM_X = "sum_m X[m][n] == E(H^[n])"
+CENSUS_SUMS = "sum_m B[m][n], sum_m X[m][n] == partition census"
 LEMMA = "binomial resummation lemma"
 EULER = "Euler product identity"
 
@@ -74,6 +79,70 @@ def q_pascal_row(mp):
     mp.setattr(laurent, "_q_pascal_row", perturbed)
 
 
+def packed_div_one_minus(mp):
+    """Add 2^{4K} - 2^K (t^4 - t) to q^6 after every packed step with q_exp = 3."""
+    true_step = strata._div_one_minus
+
+    def perturbed(col, t_exp, q_exp, k_bits):
+        true_step(col, t_exp, q_exp, k_bits)
+        if q_exp == 3 and len(col) > 6:
+            col[6] += (1 << 4 * k_bits) - (1 << k_bits)
+
+    mp.setattr(strata, "_div_one_minus", perturbed)
+
+
+def unpack(mp):
+    """Multiply every unpacked polynomial of degree 5 by t."""
+    true_unpack = packed.unpack
+
+    def perturbed(v, k_bits):
+        out = true_unpack(v, k_bits)
+        return out.shift(1) if out and out.degree() == 5 else out
+
+    mp.setattr(packed, "unpack", perturbed)
+
+
+def t_column(mp):
+    """Add 2^{4K} - 2^K (t^4 - t) to q^6 of T_2."""
+    true_column = packed.t_column
+
+    def perturbed(m, order, k_bits):
+        out = true_column(m, order, k_bits)
+        if m == 2 and order >= 6:
+            out = (*out[:6], out[6] + (1 << 4 * k_bits) - (1 << k_bits), *out[7:])
+        return out
+
+    mp.setattr(packed, "t_column", perturbed)
+
+
+def gauss_at(mp):
+    """Add 2^{5K} - 2^K (t^5 - t) to the packed Gaussian binomial [4, 2]."""
+    true_gauss = packed.gauss_at
+
+    def perturbed(order, k_bits):
+        rows = true_gauss(order, k_bits)
+        if len(rows) > 4:
+            row = rows[4]
+            rows = (*rows[:4], (*row[:2], row[2] + (1 << 5 * k_bits) - (1 << k_bits),
+                                *row[3:]), *rows[5:])
+        return rows
+
+    mp.setattr(packed, "gauss_at", perturbed)
+
+
+def census(mp):
+    """Add 1 to the e = 2 entry of the last row of _census(9)."""
+    true_census = diagrams._census
+
+    def perturbed(n):
+        rows = true_census(n)
+        if n == 9:
+            rows = [*rows[:-1], [c + (e == 2) for e, c in enumerate(rows[-1])]]
+        return rows
+
+    mp.setattr(diagrams, "_census", perturbed)
+
+
 CASES = [
     ("QSeries.div_one_minus", factor_step("div_one_minus", 3, 6, "t^4-t"),
      {A_AINV, R_GX, FIXED_POINTS, SUM_X, EULER}),
@@ -82,6 +151,12 @@ CASES = [
     ("LaurentPoly.add_shifted", add_shifted,
      {G_GINV, A_AINV, R_GX, FIXED_POINTS, SUM_X, LEMMA, EULER}),
     ("laurent._q_pascal_row", q_pascal_row, {G_GINV, R_GX, LEMMA}),
+    ("strata._div_one_minus", packed_div_one_minus,
+     {R_GX, X_BA, CLOSED_FORMS, SUM_X, CENSUS_SUMS}),
+    ("packed.unpack", unpack, {X_BA, CENSUS_SUMS}),
+    ("packed.t_column", t_column, {CLOSED_FORMS}),
+    ("packed.gauss_at", gauss_at, {CLOSED_FORMS}),
+    ("diagrams._census", census, {CHI, FIXED_POINTS, CENSUS_SUMS}),
 ]
 
 
@@ -92,8 +167,8 @@ def test_fault_is_caught(perturb, caught_by):
     try:
         with pytest.MonkeyPatch.context() as mp:
             perturb(mp)
-            report = verify_all(14, 4, 12)
+            report = verify_all(14)
     finally:
         clear_memo_caches()
     assert {c.name for c in report.checks if not c.passed} == caught_by
-    assert verify_all(14, 4, 12).passed
+    assert verify_all(14).passed

@@ -2,7 +2,7 @@
 test-only members that no longer live in the library."""
 
 import hilbstrata
-from hilbstrata import qseries, tables
+from hilbstrata import qseries, strata, tables
 from hilbstrata.laurent import LaurentPoly
 from hilbstrata.qseries import QSeries
 
@@ -28,7 +28,6 @@ PUBLIC = [
     "enumerate_marked",
     "euler_identity_check",
     "gauss_binomial",
-    "lemma_identity_check",
     "mu_max",
     "mu_of_partition",
     "partitions_of",
@@ -48,6 +47,8 @@ REMOVED = [
     (LaurentPoly, "eval_fraction"),
     (LaurentPoly, "is_polynomial"),
     (LaurentPoly, "__rsub__"),
+    (LaurentPoly, "is_zero"),
+    (LaurentPoly, "valuation"),
     (QSeries, "truncate"),
     (QSeries, "__sub__"),
     (QSeries, "scale"),
@@ -55,6 +56,8 @@ REMOVED = [
     (qseries, "q_pochhammer"),
     (qseries, "series_Hnnr_rows"),
     (qseries, "_nested_rows"),
+    (strata, "ginv_entry"),
+    (strata, "lemma_identity_check"),
     (tables, "table_from_csv"),
     (tables, "table_from_json"),
 ]

@@ -21,9 +21,7 @@ from hilbstrata.strata import (
     compute_B,
     compute_X,
     convolution_cells,
-    ginv_entry,
     grassmannian_cells,
-    lemma_identity_check,
     verify_all,
 )
 
@@ -34,6 +32,31 @@ P = LaurentPoly.from_string
 
 def mismatches(comparisons):
     return [where for where, got, want in comparisons if got != want]
+
+
+def ginv_entry(m, k):
+    """Oracle: entry (m, k) of the inverse of G(k, m) = gauss(k, m),
+    (-1)^{k-m} t^{C(k-m,2)} gauss(k, m), zero for k < m."""
+    if k < m:
+        return ZERO
+    p = gauss_binomial(k, m).shift(comb(k - m, 2))
+    return -p if (k - m) % 2 else p
+
+
+def lemma_sides(m, k):
+    """Oracle: both sides of the resummation lemma, in LaurentPoly arithmetic:
+    sum_i (-1)^{m+i} t^{km-C(m,2)+C(i,2)-ik} gauss(m,i) and prod_{i<m}(1-t^{k-i})."""
+    lhs = sum((LaurentPoly.t_power(k * m - comb(m, 2) + comb(i, 2) - i * k, (-1) ** (m + i))
+               * gauss_binomial(m, i) for i in range(m + 1)), ZERO)
+    rhs = ONE
+    for i in range(m):
+        rhs = rhs * (ONE - LaurentPoly.t_power(k - i))
+    return lhs, rhs
+
+
+def lemma_holds(m, k):
+    lhs, rhs = lemma_sides(m, k)
+    return lhs == rhs
 
 
 def q_shifted(s, k):
@@ -455,18 +478,25 @@ class TestPackedKernel:
 
 
 class TestLemma:
+    """The resummation lemma holds in LaurentPoly arithmetic, and the
+    suite's integer check (_lemma_holds) agrees with it."""
+
     def test_m1_both_sides(self):
         for k in range(-3, 6):
-            assert lemma_identity_check(1, k)
+            assert lemma_holds(1, k)
+        assert all(strata._lemma_holds(1, range(-3, 6)))
 
     def test_examples(self):
-        assert lemma_identity_check(3, 5)
-        assert lemma_identity_check(5, 2)  # the k-i = 0 factor kills both sides
+        assert lemma_holds(3, 5)
+        assert lemma_sides(5, 2) == (ZERO, ZERO)  # the k-i = 0 factor kills both sides
+        assert strata._lemma_holds(3, [5]) == strata._lemma_holds(5, [2]) == [True]
 
     def test_sweep(self):
+        ks = range(-2, 11)
         for m in range(1, 7):
-            for k in range(-2, 11):
-                assert lemma_identity_check(m, k), (m, k)
+            for k in ks:
+                assert lemma_holds(m, k), (m, k)
+            assert all(strata._lemma_holds(m, ks)), m
 
     def test_false_identity_is_rejected(self, monkeypatch):
         # one Gaussian binomial off by t^5 - t, which is 0 at t = 1
@@ -474,8 +504,8 @@ class TestLemma:
         monkeypatch.setattr(strata, "gauss_binomial", lambda m, a: true_gauss(m, a) + (
             P("t^5-t") if (m, a) == (4, 2) else ZERO))
         for k in range(-2, 11):
-            assert not lemma_identity_check(4, k), k
-            assert lemma_identity_check(3, k), k
+            assert strata._lemma_holds(4, [k]) == [False], k
+            assert strata._lemma_holds(3, [k]) == [True], k
 
 
 class TestChi:
@@ -511,7 +541,7 @@ class TestChi:
 
 class TestVerifyAll:
     def test_small_order_passes(self):
-        report = verify_all(6, fp_max_r=3, identity_order=6)
+        report = verify_all(6)
         assert report.passed
         assert {c.name for c in report.checks} >= {
             "G * Ginv == I",
@@ -520,21 +550,9 @@ class TestVerifyAll:
         }
 
     def test_order_zero_trivially_passes(self):
-        report = verify_all(0, fp_max_r=1, identity_order=1)
+        report = verify_all(0)
         assert report.passed
         assert all(c.cells_compared > 0 for c in report.checks)
-
-    @pytest.mark.parametrize("fp_max_r", [0, -3])
-    def test_fp_max_r_below_one_rejected(self, fp_max_r):
-        # not a report whose fixed-point check compared no cell
-        with pytest.raises(ValueError, match="^fp_max_r must be >= 1$"):
-            verify_all(5, fp_max_r=fp_max_r)
-
-    @pytest.mark.parametrize("identity_order", [0, -3])
-    def test_identity_order_below_one_rejected(self, identity_order):
-        # not an empty "G * Ginv == I", nor QSeries.zero's "order must be >= 0"
-        with pytest.raises(ValueError, match="^identity_order must be >= 1$"):
-            verify_all(5, identity_order=identity_order)
 
     def test_corrupted_entry_reports_coordinates(self):
         order = 6
@@ -565,7 +583,7 @@ class TestVerifyAll:
             return x
 
         monkeypatch.setattr(strata, "compute_X", corrupted)
-        report = verify_all(6, fp_max_r=2, identity_order=4)
+        report = verify_all(6)
         check = next(c for c in report.checks if c.name == "X == B.A (origin/punctured split)")
         assert check.failures == [[2, 3]]
 
@@ -616,7 +634,7 @@ class TestVerifyAll:
             return g + P("t^5-t") if (m, a) == (4, 2) else g
 
         monkeypatch.setattr(strata, "gauss_binomial", corrupted)
-        report = verify_all(6, fp_max_r=2, identity_order=4)
+        report = verify_all(6)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"G * Ginv == I", "R == G.X (Grassmannian fibers)",
                           "binomial resummation lemma"}
@@ -646,7 +664,7 @@ class TestVerifyAll:
             return b
 
         monkeypatch.setattr(strata, "compute_B", corrupted)
-        report = verify_all(6, fp_max_r=2, identity_order=4)
+        report = verify_all(6)
         check = next(c for c in report.checks
                      if c.name == "sum_m B[m][n], sum_m X[m][n] == partition census")
         assert check.failures == [[4, "B"]]
@@ -666,7 +684,7 @@ class TestVerifyAll:
             return s
 
         monkeypatch.setattr(qseries, "series_Y0_dual", corrupted)
-        report = verify_all(4, fp_max_r=2, identity_order=4)
+        report = verify_all(4)
         failed = {c.name: c.failures for c in report.checks if not c.passed}
         assert list(failed) == ["A * Ainv == I"]
         assert failed["A * Ainv == I"][0] == [2]
@@ -684,14 +702,42 @@ class TestVerifyAll:
         assert "all identities hold" not in str(report)
 
     def test_fixed_point_check_covers_every_n(self):
-        report = verify_all(14, fp_max_r=4, identity_order=12)
+        report = verify_all(14)
         check = next(c for c in report.checks
                      if c.name == "fixed-point sums == product series")
         assert check.passed
         assert check.cells_compared == 4 * 15  # r <= 4, n <= 14
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6, 8, 9, 14, 20])
+    def test_fixed_point_check_compares_no_structural_zero_row(self, order, monkeypatch):
+        # a row with C(r, 2) > order is zero on both sides by construction;
+        # the check reads only r <= min(mu_max(order), 4), and every row it
+        # reads has a nonzero cell at n = C(r, 2) <= order
+        seen = []
+        true_fixed = strata.e_poly_Hnnr_fixed
+
+        def recorded(n, r):
+            seen.append((n, r))
+            return true_fixed(n, r)
+
+        monkeypatch.setattr(strata, "e_poly_Hnnr_fixed", recorded)
+        report = verify_all(order)
+        check = next(c for c in report.checks
+                     if c.name == "fixed-point sums == product series")
+        rows = {r for _, r in seen if r}
+        assert rows == set(range(1, min(mu_max(order), 4) + 1))
+        assert all(comb(r, 2) <= order for r in rows)
+        assert check.passed and check.cells_compared == len(rows) * (order + 1)
+        assert order or check.cells_compared == 1  # at order 0 only r = 1, n = 0
+
+    @pytest.mark.parametrize("order, identity_order", [(0, 8), (8, 8), (10, 10), (14, 12), (48, 12)])
+    def test_identity_checks_run_at_the_clamped_order(self, order, identity_order):
+        cells = {c.name: c.cells_compared for c in verify_all(order).checks}
+        assert cells["G * Ginv == I"] == identity_order ** 2
+        assert cells["A * Ainv == I"] == identity_order + 1
+
     def test_report_serializes(self):
-        report = verify_all(4, fp_max_r=2, identity_order=4)
+        report = verify_all(4)
         obj = report.to_json()
         assert obj["passed"] is True
         assert all("name" in c and "failures" in c for c in obj["checks"])

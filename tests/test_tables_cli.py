@@ -331,12 +331,14 @@ class TestCli:
         line = "[ok  ] sum_m B[m][n], sum_m X[m][n] == partition census (30 cells)"
         assert line in capsys.readouterr().out  # B and X, n <= 14
 
-    def test_verify_rejects_max_r_below_one(self):
-        # a fixed-point check over no nesting level would compare nothing
-        for bad in ("-3", "0"):
-            res = run_cli("verify", "--max-r", bad)
-            assert res.returncode == 2, bad
-            assert "--max-r must be >= 1" in res.stderr
+    def test_verify_rejects_max_r(self):
+        # verify sizes its fixed-point check from the order; --max-r is a
+        # table option (hnnr columns) only
+        for value in ("4", "0", "-3"):
+            res = run_cli("verify", "--max-r", value)
+            assert res.returncode == 2, value
+            assert "unrecognized arguments: --max-r" in res.stderr
+            assert res.stdout == ""
 
     def test_verify_tiny_order(self):
         res = run_cli("verify", "--max-n", "0")
@@ -361,11 +363,11 @@ class TestCli:
 
         cache_dir = tmp_path / "cache"
         env = dict(os.environ, HILBSTRATA_CACHE_DIR=str(cache_dir))
-        res = run_cli("verify", "--max-n", "4", "--max-r", "2", env=env)
+        res = run_cli("verify", "--max-n", "4", env=env)
         assert res.returncode == 0
         victim = next(cache_dir.glob("*.json"))
         victim.write_text("{ broken")
-        res2 = run_cli("verify", "--max-n", "4", "--max-r", "2", env=env)
+        res2 = run_cli("verify", "--max-n", "4", env=env)
         assert res2.returncode == 0
         assert "recomputing" in res2.stderr
 
@@ -375,14 +377,13 @@ class TestCli:
 
         cache = SeriesCache(tmp_path)
         for kind in TABLE_KINDS:
-            build_table(kind, max_n=6, max_r=2 if kind == "hnnr" else None, cache=cache)
+            build_table(kind, max_n=6, cache=cache)
         files = sorted(tmp_path.glob("*.json"))
         assert any(f.name.startswith("epoly_H_stratum") for f in files)
         assert any(f.name.startswith("chi_B_stratum") for f in files)
         for f in files:
             f.write_text("garbage")
-        assert main(["verify", "--max-n", "6", "--max-r", "2",
-                     "--cache-dir", str(tmp_path)]) == 0
+        assert main(["verify", "--max-n", "6", "--cache-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().err.count("recomputing") == len(files)
         for f in files:
             json.loads(f.read_text())  # every torn entry was rewritten
