@@ -2,13 +2,15 @@
 The full cross-validation suite
 ===============================
 
-Every identity the construction relies on, checked exactly: matrix
-inverses, the Grassmannian-bundle relation, the origin/punctured-plane
-convolution, closed forms against the matrix pipeline, fixed-point sums
-against the product series, Euler characteristics three ways, and the
-classical q-series identities used in the derivations.  verify_all sizes
-every check from the order: at order 14 the identities run at order 12
-and the fixed-point sums over r <= 4.
+Every identity the construction relies on, checked exactly: Cauchy's
+q-binomial theorem (which both the inversion and the closed forms rest
+on), the punctured-plane series against its inverse, the
+Grassmannian-bundle relation, the origin/punctured-plane convolution,
+closed forms against the matrix pipeline, fixed-point sums against the
+product series, Euler characteristics three ways, and Euler's product
+identity.  verify_all sizes every check from the order: at order 14 the
+identities run at order 12 and the fixed-point sums over r <= 4, from
+n = C(r, 2) on.
 """
 
 import time

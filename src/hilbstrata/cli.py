@@ -2,7 +2,7 @@
 
   hilbstrata table {bm,hm,chi,y0,hnnr} [--max-n N] [--max-m M] [--max-r R]
                    [--format {latex,csv,json}] [--cache-dir DIR]
-  hilbstrata verify [--level {fast,full}] [--max-n N] [--cache-dir DIR]
+  hilbstrata verify [--level {fast,full} | --max-n N] [--cache-dir DIR]
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.  The
 cache directory defaults to $HILBSTRATA_CACHE_DIR, read on each call of
@@ -41,9 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cache-dir")
 
     v = sub.add_parser("verify", help="run the identity/cross-check suite")
-    v.add_argument("--level", choices=("fast", "full"), default="fast")
-    v.add_argument("--max-n", type=int, default=None,
-                   help="override the level's order (8 fast, 14 full)")
+    size = v.add_mutually_exclusive_group()
+    # no default: argparse sees a clash only with a value that is not the default
+    size.add_argument("--level", choices=("fast", "full"),
+                      help="order 8 (fast, the default) or 14 (full)")
+    size.add_argument("--max-n", type=int, default=None, help="the order instead of a level")
     v.add_argument("--cache-dir")
     return parser
 

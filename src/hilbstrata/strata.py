@@ -16,7 +16,9 @@ q-binomial theorem prod_{i<m}(1 + t^i y) = sum_r t^C(r,2) gauss(m, r) y^r,
 so P(y) = sum_r t^C(r,2) R_r y^r = sum_m X_m prod_{i<m}(1 + t^i y), and
 dividing the factors (1 + y), (1 + t y), (1 + t^2 y), ... off P in turn
 (synthetic division) leaves X_1, X_2, ... as the remainders, one step
-a - t^k b, k >= 0, on q-coefficients at a time (_invert_nested).  X and B are one
+a - t^k b, k >= 0, on q-coefficients at a time (_invert_nested).  Both
+routes rest on this theorem, so verify_all checks it directly, each
+y^r coefficient for m <= 12 (_cauchy_cells).  X and B are one
 helper over two seeds: the rows are the running product
 q^C(k,2) seed prod_{d<=k} 1/(1 - t^d q^d), advanced by one factor step
 per k, and seed series_H gives R_k while seed series_poincare_H gives
@@ -68,12 +70,12 @@ every X and B cell by plain-int evaluation at the check's own K, never
 reading a packed value: R == G.X with R built by qseries factor steps,
 X == B.A with series_Y0's factors applied as int factor steps, and
 sum_m X_m == series_H in LaurentPoly arithmetic.  The product checks
-(these two, G * Ginv == I and the resummation lemma) compare each cell
-as p(2^K) == q(2^K), K two bits above the larger l1 norm bound of the
-two sides, read off the operands themselves (_width), which makes the
-comparison exact.  Every entry is also checked against the fixed-point
-census of partitions, and at t = 1 against chi_series, which reads the
-same plain-int table as the guard.
+(these two and Cauchy's theorem) compare each cell as p(2^K) == q(2^K),
+K two bits above the larger l1 norm bound of the two sides, read off
+the operands themselves (_width), which makes the comparison exact.
+Every entry is also checked against the fixed-point census of
+partitions, and at t = 1 against chi_series, which reads the same
+plain-int table as the guard.
 """
 
 from __future__ import annotations
@@ -233,37 +235,6 @@ def _decode(m: int, column: list[int], k_bits: int) -> QSeries:
 # -- identities and Euler characteristics ---------------------------------
 
 
-def _lemma_holds(m: int, ks: Iterable[int]) -> list[bool]:
-    """For each k, whether the resummation lemma
-    sum_i (-1)^{m+i} t^{km-C(m,2)+C(i,2)-ik} gauss(m,i) == prod_{i<m}(1-t^{k-i})
-    holds, with gauss(m, i) read and evaluated once for all k.
-
-    Both sides are multiplied by t^{-low}, low their least exponent, so
-    every exponent is >= 0.  With a = k - i, a factor 1 - t^a for a < 0
-    is -t^a (1 - t^{-a}), so the right side is (-1)^{#a<0} t^{s - low}
-    prod_i (1 - t^{|a|}), s the sum of the negative a: one left shift and
-    one subtraction per factor (an a = 0 factor leaves 0).  The left side
-    has l1 norm at most sum_i |gauss(m,i)|_1 and the right side at most
-    2^m, which gives K (see _width).
-    """
-    gauss = [gauss_binomial(m, i) for i in range(m + 1)]
-    k_bits = _width(sum(map(_norm, gauss)), 1 << m)
-    lg = _low(gauss)
-    values = [_at(g, k_bits, -lg) for g in gauss]
-    out = []
-    for k in ks:
-        exps = [k * m - comb(m, 2) + comb(i, 2) - i * k + lg for i in range(m + 1)]
-        negative = [k - i for i in range(m) if k < i]
-        low = min(*exps, sum(negative))
-        lhs = sum((-v if (m + i) % 2 else v) << k_bits * (e - low)
-                  for i, (v, e) in enumerate(zip(values, exps)))
-        rhs = 1 << k_bits * (sum(negative) - low)
-        for i in range(m):
-            rhs -= rhs << k_bits * abs(k - i)
-        out.append(lhs == (-rhs if len(negative) % 2 else rhs))
-    return out
-
-
 def chi_series(m: int, order: int) -> QSeries:
     """Generating function of Euler characteristics of the B^[n]_m strata.
 
@@ -370,26 +341,25 @@ def _width(*bounds: int) -> int:
     return max(bounds, default=0).bit_length() + 2
 
 
-def _ginv_cells(size: int) -> Iterator[Comparison]:
-    """Cells (i, j) of G * Ginv == I for 1 <= i, j <= size, as ints at t = 2^K:
-    sum_{l=i}^{j} (-1)^{j-l} gauss(l,i) gauss(j,l) t^{C(j-l,2)} == [i == j],
-    Ginv's entries (-1)^{k-m} t^{C(k-m,2)} gauss(k, m) written out.  The
-    sum's l1 norm is at most sum_l |gauss(l,i)|_1 |gauss(j,l)|_1, which
-    gives K (_width)."""
-    labels = range(1, size + 1)
-    gauss = {(l, i): gauss_binomial(l, i) for l in labels for i in range(1, l + 1)}
+def _cauchy_cells(size: int) -> Iterator[Comparison]:
+    """Cells (m, r), 1 <= r <= m <= size, of Cauchy's q-binomial theorem
+    [y^r] prod_{i<m} (1 + t^i y) == t^C(r,2) gauss(m, r), as ints at t = 2^K.
+
+    The product gains one factor per m, row[r] += t^{m-1} row[r-1]: the rule
+    [m, r] = [m-1, r] + t^{m-r} [m-1, r-1], not laurent._q_pascal_row's.
+    Its coefficients are nonnegative with sum C(m, r), the right side's l1
+    norm is |gauss(m, r)|_1, and both are taken times t^{-low} (_low),
+    which gives K (_width).  At r = 0 both sides are 1 by construction.
+    """
+    gauss = {(m, r): gauss_binomial(m, r) for m in range(1, size + 1) for r in range(1, m + 1)}
     low = _low(gauss.values())
-    norms = {key: _norm(g) for key, g in gauss.items()}
-    k_bits = _width(1, *(sum(norms[l, i] * norms[j, l] for l in range(i, j + 1))
-                         for j in labels for i in range(1, j + 1)))
-    at = {key: _at(g, k_bits, -low) for key, g in gauss.items()}
-    for i in labels:
-        for j in labels:
-            got = 0
-            for l in range(i, j + 1):
-                term = at[l, i] * at[j, l] << k_bits * comb(j - l, 2)
-                got += -term if (j - l) % 2 else term
-            yield [i, j], got, int(i == j) << k_bits * -2 * low
+    k_bits = _width(comb(size, size // 2), *map(_norm, gauss.values()))
+    row = [1 << k_bits * -low]
+    for m in range(1, size + 1):
+        row.append(0)
+        for r in range(m, 0, -1):  # from the top, so row[r - 1] is still row m - 1's
+            row[r] += row[r - 1] << k_bits * (m - 1)
+            yield [m, r], row[r], _at(gauss[m, r], k_bits, comb(r, 2) - low)
 
 
 def series_cells(where: list, got: QSeries, want: QSeries) -> Iterator[Comparison]:
@@ -497,8 +467,8 @@ def verify_all(order: int) -> VerificationReport:
     Every check size comes from the order.  The pure series identities
     run at the order clamped to 8..12, and the fixed-point check compares
     the partition-census sums with the rows of R for r <= min(mu_max(order), 4)
-    and n <= order, so no row it reads vanishes to the order.  A check
-    that compares no cell fails.
+    and C(r, 2) <= n <= order, so no cell it compares vanishes by
+    construction.  A check that compares no cell fails.
     """
     checks: list[CheckResult] = []
 
@@ -513,8 +483,9 @@ def verify_all(order: int) -> VerificationReport:
     x = compute_X(order)
     b = compute_B(order)
 
-    # the two inverses, as the identities they stand for
-    run("G * Ginv == I", _ginv_cells(identity_order))
+    # the q-binomial theorem the inversion and the closed forms rest on,
+    # and the inverse pair A, Ainv as the identity it stands for
+    run("Cauchy q-binomial theorem", _cauchy_cells(identity_order))
     y0_times_dual = (qseries.series_Y0(identity_order)
                      * qseries.series_Y0_dual(identity_order))
     run("A * Ainv == I", series_cells([], y0_times_dual, QSeries.one(identity_order)))
@@ -530,10 +501,11 @@ def verify_all(order: int) -> VerificationReport:
         for m in family.rows
     ))
 
-    # fixed points against R, for the rows r <= 4 that reach the order
+    # fixed points against R, for the rows r <= 4 that reach the order,
+    # from n = C(r, 2) on: below it both sides vanish by construction
     run("fixed-point sums == product series", (
         ([r, n], e_poly_Hnnr_fixed(n, r), r_ser.get(r, n))
-        for r in range(1, min(top, 4) + 1) for n in range(order + 1)
+        for r in range(1, min(top, 4) + 1) for n in range(comb(r, 2), order + 1)
     ))
 
     # Euler characteristics three ways: chi coefficients must be the
@@ -554,11 +526,7 @@ def verify_all(order: int) -> VerificationReport:
     run("sum_m B[m][n], sum_m X[m][n] == partition census",
         census_column_cells(x, b, order))
 
-    # q-binomial resummation lemma and the Euler identity
-    ks = range(-2, 11)
-    run("binomial resummation lemma", (
-        ([m, k], holds, True) for m in range(1, 7) for k, holds in zip(ks, _lemma_holds(m, ks))
-    ))
+    # Euler's product identity, at the clamped order like the identities above
     run("Euler product identity", (
         ([z], qseries.euler_identity_check(z, identity_order), True) for z in range(-5, 1)
     ))

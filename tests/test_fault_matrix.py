@@ -4,12 +4,20 @@ which kernel.
 Each case perturbs one kernel through monkeypatch and pins the exact set
 of checks of verify_all(14) that fail.  A polynomial kernel is perturbed
 by a term that vanishes at t = 1, or multiplied by t, so no t = 1 guard
-can see it; the partition census gains one partition.  Every memo cache
+can see it; the partition census gains one partition.  A plain-int table
+of the t = 1 guard is perturbed by one, which the guard itself must see:
+those cases pin the ArithmeticError it raises instead.  Every memo cache
 of the package is cleared before and after each case, so that no
 perturbed value is read before the perturbation or outlives it.
+
+The division step of strata._invert_nested is inline in its loop, so no
+case can perturb it alone; the factor steps it runs on (_div_one_minus)
+and the decoding it ends with (unpack) have cases.
 """
 
+import re
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,7 +28,7 @@ from hilbstrata.strata import verify_all
 
 P = LaurentPoly.from_string
 
-G_GINV = "G * Ginv == I"
+CAUCHY = "Cauchy q-binomial theorem"
 A_AINV = "A * Ainv == I"
 R_GX = "R == G.X (Grassmannian fibers)"
 X_BA = "X == B.A (origin/punctured split)"
@@ -29,7 +37,6 @@ FIXED_POINTS = "fixed-point sums == product series"
 CHI = "chi == B(1) == fixed-point census"
 SUM_X = "sum_m X[m][n] == E(H^[n])"
 CENSUS_SUMS = "sum_m B[m][n], sum_m X[m][n] == partition census"
-LEMMA = "binomial resummation lemma"
 EULER = "Euler product identity"
 
 
@@ -77,6 +84,45 @@ def q_pascal_row(mp):
         return (*row[:2], row[2] + P("t^5-t"), *row[3:]) if m == 4 else row
 
     mp.setattr(laurent, "_q_pascal_row", perturbed)
+
+
+def laurent_mul(mp):
+    """Add t^5 - t to every LaurentPoly product of more than 3 terms."""
+    true_mul, extra = LaurentPoly.__mul__, P("t^5-t")
+
+    def perturbed(self, other):
+        out = true_mul(self, other)
+        return out + extra if len(list(out.items())) > 3 else out
+
+    mp.setattr(LaurentPoly, "__mul__", perturbed)
+    mp.setattr(LaurentPoly, "__rmul__", perturbed)
+
+
+def qseries_mul(mp):
+    """Add t^4 - t to q^6 of every QSeries product that reaches it."""
+    true_mul, extra = QSeries.__mul__, P("t^4-t")
+
+    def perturbed(self, other):
+        out = true_mul(self, other)
+        if out.order >= 6:
+            out.coeffs[6] = out.coeffs[6] + extra
+        return out
+
+    mp.setattr(QSeries, "__mul__", perturbed)
+
+
+def bump(table, i, *rest):
+    """The tuple table with the entry at index path (i, *rest) raised by one."""
+    entry = bump(table[i], *rest) if rest else table[i] + 1
+    return (*table[:i], entry, *table[i + 1:])
+
+
+def packed_table(name, edit):
+    """Replace packed.<name>(*args) by edit(args, its true value)."""
+    def perturb(mp):
+        true_table = getattr(packed, name)
+        mp.setattr(packed, name, lambda *args: edit(args, true_table(*args)))
+    return perturb
 
 
 def packed_div_one_minus(mp):
@@ -149,26 +195,56 @@ CASES = [
     ("QSeries.mul_one_minus", factor_step("mul_one_minus", 2, 5, "t^4-t"),
      {A_AINV, EULER}),
     ("LaurentPoly.add_shifted", add_shifted,
-     {G_GINV, A_AINV, R_GX, FIXED_POINTS, SUM_X, LEMMA, EULER}),
-    ("laurent._q_pascal_row", q_pascal_row, {G_GINV, R_GX, LEMMA}),
+     {CAUCHY, A_AINV, R_GX, FIXED_POINTS, SUM_X, EULER}),
+    ("laurent._q_pascal_row", q_pascal_row, {CAUCHY, R_GX}),
     ("strata._div_one_minus", packed_div_one_minus,
      {R_GX, X_BA, CLOSED_FORMS, SUM_X, CENSUS_SUMS}),
     ("packed.unpack", unpack, {X_BA, CENSUS_SUMS}),
     ("packed.t_column", t_column, {CLOSED_FORMS}),
     ("packed.gauss_at", gauss_at, {CLOSED_FORMS}),
     ("diagrams._census", census, {CHI, FIXED_POINTS, CENSUS_SUMS}),
+    ("LaurentPoly.__mul__", laurent_mul, {A_AINV}),
+    ("QSeries.__mul__", qseries_mul, {A_AINV}),
 ]
+
+# Faults in the plain-int tables of the t = 1 guard change values at
+# t = 1, so the guard raises, naming the first (n, m) it decodes wrongly.
+GUARD_CASES = [
+    ("packed.distinct_parts", packed_table(
+        "distinct_parts", lambda args, d: bump(d, 9, 2) if len(d) > 9 else d), 9, 1),
+    ("packed.nested_rows_at_one", packed_table(
+        "nested_rows_at_one", lambda args, rows: bump(rows, 1, 9) if args[0] >= 9 else rows),
+     9, 1),
+    ("packed.chi_at_one", packed_table(
+        "chi_at_one", lambda args, chi: bump(chi, 9) if args[0] == 2 and len(chi) > 9 else chi),
+     9, 2),
+]
+
+
+@contextmanager
+def perturbed(perturb):
+    clear_memo_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            perturb(mp)
+            yield
+    finally:
+        clear_memo_caches()
 
 
 @pytest.mark.parametrize("perturb, caught_by", [case[1:] for case in CASES],
                          ids=[case[0] for case in CASES])
 def test_fault_is_caught(perturb, caught_by):
-    clear_memo_caches()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            perturb(mp)
-            report = verify_all(14)
-    finally:
-        clear_memo_caches()
+    with perturbed(perturb):
+        report = verify_all(14)
     assert {c.name for c in report.checks if not c.passed} == caught_by
+    assert verify_all(14).passed
+
+
+@pytest.mark.parametrize("perturb, n, m", [case[1:] for case in GUARD_CASES],
+                         ids=[case[0] for case in GUARD_CASES])
+def test_guard_table_fault_raises(perturb, n, m):
+    with perturbed(perturb), pytest.raises(
+            ArithmeticError, match=re.escape(f"coefficient of q^{n} at m={m} is ")):
+        verify_all(14)
     assert verify_all(14).passed

@@ -10,6 +10,9 @@ checked on the source with ast.
 (c) No function of the verify suite names packed or the matrix
     pipeline's kernel (_div_one_minus, _invert_nested): the suite
     compares the routes' outputs and never reuses their arithmetic.
+(d) The check of Cauchy's q-binomial theorem (_cauchy_cells) names
+    neither packed nor laurent._q_pascal_row, the recurrence that builds
+    the Gaussian binomials it checks.
 """
 
 import ast
@@ -19,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hilbstrata"
 
 SHARED = {"digit_bits", "unpack", "chi_at_one"}
 CLOSED_FORM_INTERNALS = {"t_column", "gauss_at", "distinct_parts"}
-SUITE = ["_ginv_cells", "_lemma_holds", "grassmannian_cells", "convolution_cells",
+SUITE = ["_cauchy_cells", "grassmannian_cells", "convolution_cells",
          "_times_factor", "census_column_cells", "series_cells", "_at", "_norm",
          "_low", "_width", "verify_all"]
 ROUTE_NAMES = {"packed", "_div_one_minus", "_invert_nested"}
@@ -77,14 +80,21 @@ def test_strata_reads_packed_only_through_its_shared_names():
     assert {"digit_bits", "unpack"} <= {attr for _, attr in reads}
 
 
+def names_in(node):
+    """Every name and attribute name that the node's source mentions."""
+    return ({sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+            | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)})
+
+
 def test_verify_suite_names_no_route_kernel():
     defined = functions(parse("strata"))
     assert [name for name in SUITE if name not in defined] == []
-    named = {
-        name: sorted({sub.id for sub in ast.walk(defined[name]) if isinstance(sub, ast.Name)}
-                     | {sub.attr for sub in ast.walk(defined[name])
-                        if isinstance(sub, ast.Attribute)})
-        for name in SUITE
-    }
+    named = {name: sorted(names_in(defined[name])) for name in SUITE}
     assert {name: [n for n in names if n in ROUTE_NAMES] for name, names in named.items()
             if ROUTE_NAMES & set(names)} == {}
+
+
+def test_cauchy_check_shares_no_recurrence_with_its_kernel():
+    named = names_in(functions(parse("strata"))["_cauchy_cells"])
+    assert "gauss_binomial" in named
+    assert named & {"packed", "_q_pascal_row"} == set()

@@ -43,20 +43,13 @@ def ginv_entry(m, k):
     return -p if (k - m) % 2 else p
 
 
-def lemma_sides(m, k):
-    """Oracle: both sides of the resummation lemma, in LaurentPoly arithmetic:
-    sum_i (-1)^{m+i} t^{km-C(m,2)+C(i,2)-ik} gauss(m,i) and prod_{i<m}(1-t^{k-i})."""
-    lhs = sum((LaurentPoly.t_power(k * m - comb(m, 2) + comb(i, 2) - i * k, (-1) ** (m + i))
-               * gauss_binomial(m, i) for i in range(m + 1)), ZERO)
-    rhs = ONE
+def cauchy_coefficients(m):
+    """Oracle: the y-coefficients of prod_{i<m} (1 + t^i y), y^0 first, in
+    LaurentPoly arithmetic, one product with each factor."""
+    coeffs = [ONE]
     for i in range(m):
-        rhs = rhs * (ONE - LaurentPoly.t_power(k - i))
-    return lhs, rhs
-
-
-def lemma_holds(m, k):
-    lhs, rhs = lemma_sides(m, k)
-    return lhs == rhs
+        coeffs = [a + LaurentPoly.t_power(i) * b for a, b in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+    return coeffs
 
 
 def q_shifted(s, k):
@@ -477,35 +470,60 @@ class TestPackedKernel:
         assert "closed forms == matrix pipeline" not in failed
 
 
-class TestLemma:
-    """The resummation lemma holds in LaurentPoly arithmetic, and the
-    suite's integer check (_lemma_holds) agrees with it."""
+class TestCauchy:
+    """Cauchy's q-binomial theorem, prod_{i<m} (1 + t^i y) =
+    sum_r t^C(r,2) gauss(m, r) y^r, holds in LaurentPoly arithmetic, and
+    the suite's integer check (_cauchy_cells) agrees with it."""
+
+    @staticmethod
+    def corrupt_4_2(monkeypatch, extra):
+        true_gauss = strata.gauss_binomial
+        monkeypatch.setattr(strata, "gauss_binomial", lambda m, a: true_gauss(m, a) + (
+            P(extra) if (m, a) == (4, 2) else ZERO))
 
     def test_m1_both_sides(self):
-        for k in range(-3, 6):
-            assert lemma_holds(1, k)
-        assert all(strata._lemma_holds(1, range(-3, 6)))
+        assert cauchy_coefficients(1) == [ONE, ONE]
+        cells = list(strata._cauchy_cells(1))
+        assert [where for where, _, _ in cells] == [[1, 1]]
+        assert not mismatches(cells)
 
     def test_examples(self):
-        assert lemma_holds(3, 5)
-        assert lemma_sides(5, 2) == (ZERO, ZERO)  # the k-i = 0 factor kills both sides
-        assert strata._lemma_holds(3, [5]) == strata._lemma_holds(5, [2]) == [True]
+        assert cauchy_coefficients(3) == [ONE, P("1+t+t^2"), P("t+t^2+t^3"), P("t^3")]
+        cells = list(strata._cauchy_cells(3))
+        assert [where for where, _, _ in cells] == [
+            [1, 1], [2, 2], [2, 1], [3, 3], [3, 2], [3, 1]]
+        assert not mismatches(cells)
 
-    def test_sweep(self):
-        ks = range(-2, 11)
-        for m in range(1, 7):
-            for k in ks:
-                assert lemma_holds(m, k), (m, k)
-            assert all(strata._lemma_holds(m, ks)), m
+    def test_sweep(self, monkeypatch):
+        # every cell at size 12, both sides unpacked at the check's own K,
+        # against the oracle's expansion
+        widths = []
+        true_width = strata._width
+
+        def recorded(*bounds):
+            widths.append(true_width(*bounds))
+            return widths[-1]
+
+        monkeypatch.setattr(strata, "_width", recorded)
+        cells = list(strata._cauchy_cells(12))
+        k_bits, = widths
+        assert len(cells) == 12 * 13 // 2
+        for (m, r), got, want in cells:
+            oracle = cauchy_coefficients(m)[r]
+            assert oracle == gauss_binomial(m, r).shift(comb(r, 2)), (m, r)
+            assert packed.unpack(got, k_bits) == packed.unpack(want, k_bits) == oracle, (m, r)
 
     def test_false_identity_is_rejected(self, monkeypatch):
         # one Gaussian binomial off by t^5 - t, which is 0 at t = 1
-        true_gauss = strata.gauss_binomial
-        monkeypatch.setattr(strata, "gauss_binomial", lambda m, a: true_gauss(m, a) + (
-            P("t^5-t") if (m, a) == (4, 2) else ZERO))
-        for k in range(-2, 11):
-            assert strata._lemma_holds(4, [k]) == [False], k
-            assert strata._lemma_holds(3, [k]) == [True], k
+        self.corrupt_4_2(monkeypatch, "t^5-t")
+        assert mismatches(strata._cauchy_cells(12)) == [[4, 2]]
+        assert mismatches(strata._cauchy_cells(3)) == []
+
+    def test_negative_exponent_fault_is_rejected(self, monkeypatch):
+        # t^-1 - 1 shifts both sides of every cell by t (_low)
+        self.corrupt_4_2(monkeypatch, "t^-1-1")
+        assert mismatches(strata._cauchy_cells(12)) == [[4, 2]]
+        assert mismatches(strata._cauchy_cells(8)) == [[4, 2]]
 
 
 class TestChi:
@@ -544,7 +562,7 @@ class TestVerifyAll:
         report = verify_all(6)
         assert report.passed
         assert {c.name for c in report.checks} >= {
-            "G * Ginv == I",
+            "Cauchy q-binomial theorem",
             "A * Ainv == I",
             "closed forms == matrix pipeline",
         }
@@ -636,11 +654,10 @@ class TestVerifyAll:
         monkeypatch.setattr(strata, "gauss_binomial", corrupted)
         report = verify_all(6)
         failed = {c.name for c in report.checks if not c.passed}
-        assert failed == {"G * Ginv == I", "R == G.X (Grassmannian fibers)",
-                          "binomial resummation lemma"}
+        assert failed == {"Cauchy q-binomial theorem", "R == G.X (Grassmannian fibers)"}
 
     def test_evaluation_fault_is_caught(self, monkeypatch):
-        # the four product checks share one evaluation at t = 2^K: with its
+        # the three product checks share one evaluation at t = 2^K: with its
         # top term dropped, each of them must fail
         true_at = strata._at
 
@@ -652,8 +669,8 @@ class TestVerifyAll:
         monkeypatch.setattr(strata, "_at", drop_top)
         report = verify_all(14)
         failed = {c.name for c in report.checks if not c.passed}
-        assert failed == {"G * Ginv == I", "R == G.X (Grassmannian fibers)",
-                          "X == B.A (origin/punctured split)", "binomial resummation lemma"}
+        assert failed == {"Cauchy q-binomial theorem", "R == G.X (Grassmannian fibers)",
+                          "X == B.A (origin/punctured split)"}
 
     def test_corrupted_B_fails_census_column_sums(self, monkeypatch):
         true_compute_B = strata.compute_B
@@ -706,13 +723,13 @@ class TestVerifyAll:
         check = next(c for c in report.checks
                      if c.name == "fixed-point sums == product series")
         assert check.passed
-        assert check.cells_compared == 4 * 15  # r <= 4, n <= 14
+        assert check.cells_compared == 50  # r <= 4, C(r, 2) <= n <= 14
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6, 8, 9, 14, 20])
     def test_fixed_point_check_compares_no_structural_zero_row(self, order, monkeypatch):
-        # a row with C(r, 2) > order is zero on both sides by construction;
-        # the check reads only r <= min(mu_max(order), 4), and every row it
-        # reads has a nonzero cell at n = C(r, 2) <= order
+        # a cell with n < C(r, 2) is zero on both sides by construction; the
+        # check reads only r <= min(mu_max(order), 4) and n >= C(r, 2), and
+        # every row it reads has a nonzero cell at n = C(r, 2) <= order
         seen = []
         true_fixed = strata.e_poly_Hnnr_fixed
 
@@ -726,14 +743,15 @@ class TestVerifyAll:
                      if c.name == "fixed-point sums == product series")
         rows = {r for _, r in seen if r}
         assert rows == set(range(1, min(mu_max(order), 4) + 1))
-        assert all(comb(r, 2) <= order for r in rows)
-        assert check.passed and check.cells_compared == len(rows) * (order + 1)
+        assert all(comb(r, 2) <= n for n, r in seen)
+        assert check.passed
+        assert check.cells_compared == sum(order + 1 - comb(r, 2) for r in rows)
         assert order or check.cells_compared == 1  # at order 0 only r = 1, n = 0
 
     @pytest.mark.parametrize("order, identity_order", [(0, 8), (8, 8), (10, 10), (14, 12), (48, 12)])
     def test_identity_checks_run_at_the_clamped_order(self, order, identity_order):
         cells = {c.name: c.cells_compared for c in verify_all(order).checks}
-        assert cells["G * Ginv == I"] == identity_order ** 2
+        assert cells["Cauchy q-binomial theorem"] == identity_order * (identity_order + 1) // 2
         assert cells["A * Ainv == I"] == identity_order + 1
 
     def test_report_serializes(self):

@@ -322,7 +322,8 @@ class TestCli:
         from hilbstrata.cli import main
 
         assert main(["verify", "--level", "full"]) == 0
-        assert "[ok  ] fixed-point sums == product series (60 cells)" in capsys.readouterr().out
+        # r <= 4 and C(r, 2) <= n <= 14: no cell that is 0 == 0 by construction
+        assert "[ok  ] fixed-point sums == product series (50 cells)" in capsys.readouterr().out
 
     def test_verify_full_census_column_sum_cells(self, capsys):
         from hilbstrata.cli import main
@@ -339,6 +340,21 @@ class TestCli:
             assert res.returncode == 2, value
             assert "unrecognized arguments: --max-r" in res.stderr
             assert res.stdout == ""
+
+    def test_verify_rejects_level_with_max_n(self, capsys):
+        # a level is an order preset, so the two options cannot both be given;
+        # in process too, where argv strings may be the very default objects
+        from hilbstrata.cli import main
+
+        for argv in (["--level", "full", "--max-n", "20"], ["--max-n", "20", "--level", "fast"]):
+            res = run_cli("verify", *argv)
+            assert res.returncode == 2, argv
+            assert "not allowed with argument" in res.stderr
+            assert res.stdout == ""
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", *argv])
+            assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
     def test_verify_tiny_order(self):
         res = run_cli("verify", "--max-n", "0")
