@@ -69,7 +69,7 @@ def cmd_verify(args, parser) -> int:
     if order < 0:
         parser.error("--max-n must be >= 0")
     if args.cache_dir:
-        # screen every cached series a default table at this order reads;
+        # screen the cached entry of every default table at this order;
         # the cache logs its own repairs
         cache = SeriesCache(args.cache_dir)
         for kind in TABLE_KINDS:

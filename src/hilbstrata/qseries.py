@@ -130,16 +130,6 @@ class QSeries:
         inner = " + ".join(f"({c})q^{n}" for n, c in enumerate(self.coeffs) if c)
         return f"QSeries[{inner or '0'}; O(q^{self.order + 1})]"
 
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> QSeries:
-        coeffs = [LaurentPoly.from_json(c) for c in obj["coeffs"]]
-        if len(coeffs) != obj["order"] + 1:
-            raise ValueError("coefficient list does not match the declared order")
-        return cls(coeffs)
-
 
 def product_factors(
     factors: Iterable[tuple[int, int, int]], order: int

@@ -81,8 +81,8 @@ def build_table(
     clamped there with a warning on stderr, since rows above it are
     identically zero; other kinds take no max_m.  The r-columns of hnnr
     run to max_r, 4 by default; other kinds take no max_r.  With a
-    cache, each column is read through it, which screens and repairs
-    its entry.
+    cache, all columns are read through one entry, keyed by the column
+    bound (max_m or max_r), which the cache screens and repairs.
     """
     if kind not in SERIES:
         raise ValueError(f"unknown table kind {kind!r}")
@@ -98,16 +98,17 @@ def build_table(
                 file=sys.stderr,
             )
         count = min(max_m or bound, bound)
-    columns = ([(kind, {}, None)] if param is None
-               else [(f"{param}={c}", {param: c}, c) for c in range(1, count + 1)])
-    series = [
-        fn(c, max_n) if cache is None
-        else cache.get(name, params, max_n, lambda k, c=c: fn(c, k))
-        for _, params, c in columns
-    ]
+    cols = [None] if param is None else range(1, count + 1)
+
+    def build(order: int) -> list[QSeries]:
+        return [fn(c, order) for c in cols]
+
+    params = {} if param is None else {f"max_{param}": count}
+    series = build(max_n) if cache is None else cache.get(name, params, max_n, build)
     rows = list(range(max_n + 1))
     cells = [[col.coeff(n) for col in series] for n in rows]
-    return Table(kind, rows, [label for label, *_ in columns], cells)
+    labels = [kind] if param is None else [f"{param}={c}" for c in cols]
+    return Table(kind, rows, labels, cells)
 
 
 # -- renderers -----------------------------------------------------------

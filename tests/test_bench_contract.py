@@ -3,8 +3,11 @@
 perfbench/tracing.py wraps functions and methods by name, and the
 workloads read cache paths, strata cells and the cache module's random
 source, and run the matrix pipeline with compute_B's x_matrix passed
-positionally.  A rename or deletion in src/ would otherwise surface only
-when the benchmark runs, as an AttributeError in the traced worker.
+positionally.  The tracer classifies each cached call as a hit, miss
+or repair by the file SeriesCache._path names, so that must be the file
+a table call writes.  A rename or deletion in src/ would otherwise
+surface only when the benchmark runs, as an AttributeError in the
+traced worker.
 """
 
 import importlib
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbstrata import cache, strata
+from hilbstrata import cache, cli, strata
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +51,25 @@ def test_matrix_pipeline_calls_resolve():
     # the workload passes X to compute_B positionally
     workloads = load_perfbench("workloads")
     assert workloads.matrix_pipeline(6) == (strata.compute_X(6), strata.compute_B(6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "bm", "--max-n", "8", "--max-m", "2"],
+    ["table", "chi", "--max-n", "8"],
+    ["table", "hnnr", "--max-n", "8", "--max-r", "3"],
+    ["table", "y0", "--max-n", "8"],
+])
+def test_cached_table_call_writes_the_file_path_names(tmp_path, monkeypatch, capsys, argv):
+    keys = []
+    get = cache.SeriesCache.get
+
+    def recording_get(self, name, params, order, builder):
+        keys.append((self, name, params, order))
+        return get(self, name, params, order, builder)
+
+    monkeypatch.setattr(cache.SeriesCache, "get", recording_get)
+    assert cli.main(argv + ["--format", "csv", "--cache-dir", str(tmp_path)]) == 0
+    (series_cache, name, params, order), = keys  # one cache entry per table call
+    assert set(params) <= {"max_m", "max_r"}
+    path = series_cache._path(name, params, order)
+    assert sorted(tmp_path.iterdir()) == [Path(path)]

@@ -53,6 +53,8 @@ REMOVED = [
     (QSeries, "__sub__"),
     (QSeries, "scale"),
     (QSeries, "shift_q"),
+    (QSeries, "to_json"),
+    (QSeries, "from_json"),
     (qseries, "q_pochhammer"),
     (qseries, "series_Hnnr_rows"),
     (qseries, "_nested_rows"),

@@ -1,5 +1,8 @@
 """Truncated q-series arithmetic and the named generating functions."""
 
+import json
+import os
+import tempfile
 from math import comb
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
 from hilbstrata import qseries, strata
+from hilbstrata.cache import SeriesCache, decode_row, encode_row
 from hilbstrata.diagrams import mu_max
 from hilbstrata.tables import build_table
 from hilbstrata.qseries import (
@@ -100,9 +104,36 @@ class TestSeriesArithmetic:
         f = QSeries([P("-t"), ONE, ONE])
         assert f * f.inv() == QSeries.one(2)
 
-    def test_json_round_trip(self):
-        f = series_Y0(6)
-        assert QSeries.from_json(f.to_json()) == f
+    @given(st.lists(
+        st.dictionaries(
+            st.integers(-9, 9),
+            st.one_of(st.just(0), st.integers(-6, 6), st.integers(-2**80, 2**80)),
+            max_size=6,
+        ).map(LaurentPoly),
+        min_size=1,
+        max_size=6,
+    ))
+    def test_cache_row_round_trip(self, coeffs):
+        # Negative exponents, gaps (zero coefficients inside a row), the zero
+        # polynomial and coefficients above 2^64, through JSON and through
+        # a cache entry read back with its screening.
+        rows = json.loads(json.dumps([encode_row(c) for c in coeffs]))
+        assert [decode_row(row) for row in rows] == coeffs
+        series, order = QSeries(coeffs), len(coeffs) - 1
+        with tempfile.TemporaryDirectory() as directory:
+            cache = SeriesCache(directory)
+
+            def builder(k):
+                return [QSeries(coeffs[:k + 1])] * 2
+
+            def entry():
+                stat = os.stat(cache._path("s", {}, order))
+                return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+            assert cache.get("s", {}, order, builder) == [series, series]
+            written = entry()
+            assert cache.get("s", {}, order, builder) == [series, series]
+            assert entry() == written  # a hit: not rewritten
 
 
 # random series with Laurent coefficients of either sign of t-exponent

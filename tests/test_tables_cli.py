@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from hilbstrata import cli
-from hilbstrata.cache import SeriesCache
+from hilbstrata.cache import SeriesCache, encode_row
 from hilbstrata.diagrams import mu_max
 from hilbstrata.laurent import LaurentPoly
 from hilbstrata.qseries import series_Y0
+from hilbstrata.strata import closed_form_B
 from hilbstrata.tables import (
     FORMATS,
     TABLE_KINDS,
@@ -154,60 +155,72 @@ class TestRenderers:
                 == render_csv(build_table("bm", max_n=9, max_m=3)))
 
 
+def y0_columns(order):
+    return [series_Y0(order)]
+
+
+def bm_columns(order, count=4):
+    return [closed_form_B(m, order) for m in range(1, count + 1)]
+
+
+def entry_of(directory):
+    """The path and payload of the only entry in a cache directory."""
+    victim, = Path(directory).glob("*.json")
+    return victim, json.loads(victim.read_text())
+
+
 class TestSeriesCache:
     def test_miss_then_hit(self, tmp_path):
         calls = []
 
         def builder(order):
             calls.append(order)
-            return series_Y0(order)
+            return bm_columns(order)
 
         cache = SeriesCache(tmp_path)
-        first = cache.get("epoly_Y0", {}, 6, builder)
-        assert calls == [6]
-        again = cache.get("epoly_Y0", {}, 6, builder)
+        first = cache.get("epoly_B_stratum", {"max_m": 4}, 9, builder)
+        assert calls == [9] and first == bm_columns(9)
+        again = cache.get("epoly_B_stratum", {"max_m": 4}, 9, builder)
         assert again == first
-        # the hit only recomputes the single validation probe
-        assert len(calls) == 2 and calls[1] <= 6
+        # the hit recomputes every column once, at the single validation probe
+        assert len(calls) == 2 and calls[1] <= 9
 
     def test_corrupted_payload_recomputed(self, tmp_path, capsys):
         cache = SeriesCache(tmp_path)
-        cache.get("epoly_Y0", {}, 5, series_Y0)
-        victim = next(tmp_path.glob("*.json"))
+        cache.get("epoly_Y0", {}, 5, y0_columns)
+        victim, _ = entry_of(tmp_path)
         victim.write_text("{ not json")
-        got = cache.get("epoly_Y0", {}, 5, series_Y0)
-        assert got == series_Y0(5)
+        got = cache.get("epoly_Y0", {}, 5, y0_columns)
+        assert got == y0_columns(5)
         assert "recomputing" in capsys.readouterr().err
+        assert entry_of(tmp_path)[1]["columns"] == [[encode_row(c) for c in series_Y0(5).coeffs]]
 
     def test_stale_coefficients_detected(self, tmp_path, capsys):
         cache = SeriesCache(tmp_path)
-        cache.get("epoly_Y0", {}, 5, series_Y0)
-        victim = next(tmp_path.glob("*.json"))
-        payload = json.loads(victim.read_text())
-        for coeff in payload["series"]["coeffs"]:
-            coeff["terms"] = [[0, "77"]]
+        cache.get("epoly_Y0", {}, 5, y0_columns)
+        victim, payload = entry_of(tmp_path)
+        payload["columns"] = [[[0, 77]] * 6]
         victim.write_text(json.dumps(payload))
-        got = cache.get("epoly_Y0", {}, 5, series_Y0)
-        assert got == series_Y0(5)
+        got = cache.get("epoly_Y0", {}, 5, y0_columns)
+        assert got == y0_columns(5)
         assert "stale coefficient" in capsys.readouterr().err
 
     def test_short_series_under_longer_key_recomputed(self, tmp_path, monkeypatch, capsys):
         cache = SeriesCache(tmp_path)
-        cache.get("epoly_Y0", {}, 6, series_Y0)
-        victim = next(tmp_path.glob("*.json"))
-        payload = json.loads(victim.read_text())
-        payload["series"] = series_Y0(2).to_json()  # the key still says order 6
+        cache.get("epoly_B_stratum", {"max_m": 4}, 6, bm_columns)
+        victim, payload = entry_of(tmp_path)
+        payload["columns"][1] = payload["columns"][1][:3]  # the key still says order 6
         victim.write_text(json.dumps(payload))
-        monkeypatch.setattr(cache.rng, "randint", lambda lo, hi: 0)  # a probe the short series passes
-        got = cache.get("epoly_Y0", {}, 6, series_Y0)
-        assert got == series_Y0(6)
+        monkeypatch.setattr(cache.rng, "randint", lambda lo, hi: 0)  # an index it still holds
+        got = cache.get("epoly_B_stratum", {"max_m": 4}, 6, bm_columns)
+        assert got == bm_columns(6)
         assert "recomputing" in capsys.readouterr().err
-        assert json.loads(victim.read_text())["series"]["order"] == 6
+        assert [len(col) for col in entry_of(tmp_path)[1]["columns"]] == [7] * 4
 
     def test_failed_write_keeps_old_entry(self, tmp_path, monkeypatch):
         cache = SeriesCache(tmp_path)
-        cache.get("epoly_Y0", {}, 5, series_Y0)
-        victim = next(tmp_path.glob("*.json"))
+        cache.get("epoly_Y0", {}, 5, y0_columns)
+        victim, _ = entry_of(tmp_path)
         victim.write_text("{ not json")  # forces a rewrite on the next get
 
         def failing_replace(src, dst):
@@ -215,18 +228,103 @@ class TestSeriesCache:
 
         monkeypatch.setattr("hilbstrata.cache.os.replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
-            cache.get("epoly_Y0", {}, 5, series_Y0)
+            cache.get("epoly_Y0", {}, 5, y0_columns)
         assert victim.read_text() == "{ not json"
         assert list(tmp_path.iterdir()) == [victim]  # no temp file left behind
 
     def test_distinct_params_distinct_entries(self, tmp_path):
         from hilbstrata.strata import chi_series
 
+        def columns(count):
+            return lambda k: [chi_series(m, k) for m in range(1, count + 1)]
+
         cache = SeriesCache(tmp_path)
-        a = cache.get("chi_B_stratum", {"m": 2}, 6, lambda k: chi_series(2, k))
-        b = cache.get("chi_B_stratum", {"m": 3}, 6, lambda k: chi_series(3, k))
-        assert a != b
+        a = cache.get("chi_B_stratum", {"max_m": 2}, 6, columns(2))
+        b = cache.get("chi_B_stratum", {"max_m": 3}, 6, columns(3))
+        assert a == b[:2] and len(b) == 3
         assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def test_one_stale_column_caught_at_the_shared_probe(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def builder(order):
+            calls.append(order)
+            return bm_columns(order)
+
+        cache = SeriesCache(tmp_path)
+        cache.get("epoly_B_stratum", {"max_m": 4}, 9, builder)
+        victim, payload = entry_of(tmp_path)
+        payload["columns"][2][7] = encode_row(closed_form_B(3, 9).coeff(7) + 1)
+        victim.write_text(json.dumps(payload))
+        monkeypatch.setattr(cache.rng, "randint", lambda lo, hi: 6)
+        got = cache.get("epoly_B_stratum", {"max_m": 4}, 9, builder)
+        assert got[2].coeff(7) == closed_form_B(3, 9).coeff(7) + 1  # not probed at index 6
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(cache.rng, "randint", lambda lo, hi: 7)
+        assert cache.get("epoly_B_stratum", {"max_m": 4}, 9, builder) == bm_columns(9)
+        assert "stale coefficient at q^7 in column 3" in capsys.readouterr().err
+        # one probe per entry, all four columns rebuilt at its index; then the rebuild
+        assert calls == [9, 6, 7, 9]
+        assert entry_of(tmp_path)[1]["columns"][2][7] == encode_row(closed_form_B(3, 9).coeff(7))
+
+    @pytest.mark.parametrize("fault, cell, message", [
+        ("column count", None, "3 columns, not 4"),
+        ("float cell", "1.0", "invalid literal for int() with base 10: '1.0'"),
+        ("string cell", '"1"', "non-integer cell"),
+        ("bool cell", "true", "non-integer cell"),
+    ])
+    def test_malformed_entry_invalid(self, tmp_path, capsys, fault, cell, message):
+        cache = SeriesCache(tmp_path)
+        cache.get("epoly_B_stratum", {"max_m": 4}, 6, bm_columns)
+        victim, payload = entry_of(tmp_path)
+        if cell is None:
+            payload["columns"].pop()
+            victim.write_text(json.dumps(payload))
+        else:  # q^6 of column 4 is 1 ([0, 1]): the same value, of another type
+            assert payload["columns"][3][6] == [0, 1]
+            payload["columns"][3][6] = [0, 424242]
+            victim.write_text(json.dumps(payload).replace("424242", cell))
+        assert cache.get("epoly_B_stratum", {"max_m": 4}, 6, bm_columns) == bm_columns(6)
+        err = capsys.readouterr().err
+        assert "recomputing" in err and message in err
+        assert len(entry_of(tmp_path)[1]["columns"]) == 4
+
+    def test_truncated_multi_column_entry_repaired(self, tmp_path, capsys):
+        cache = SeriesCache(tmp_path)
+        cache.get("epoly_B_stratum", {"max_m": 4}, 9, bm_columns)
+        victim, payload = entry_of(tmp_path)
+        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        assert cache.get("epoly_B_stratum", {"max_m": 4}, 9, bm_columns) == bm_columns(9)
+        assert "recomputing" in capsys.readouterr().err
+        assert entry_of(tmp_path)[1] == payload
+        cache.get("epoly_B_stratum", {"max_m": 4}, 9, bm_columns)
+        assert capsys.readouterr().err == ""
+
+    def test_old_format_y0_entry_repaired_once(self, tmp_path, capsys):
+        # A per-column entry of the older format: coefficients as term lists.
+        # The y0 table has one column and no bound, so its name is unchanged.
+        old = {"name": "epoly_Y0", "params": {}, "order": 6,
+               "series": {"order": 6, "coeffs": [c.to_json() for c in series_Y0(6).coeffs]}}
+        (tmp_path / "epoly_Y0_N6.json").write_text(json.dumps(old))
+        argv = ["table", "y0", "--max-n", "6", "--format", "csv", "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        assert first.err.count("recomputing") == 1 and "epoly_Y0_N6.json" in first.err
+        assert cli.main(argv) == 0
+        again = capsys.readouterr()
+        assert again.err == "" and again.out == first.out
+        assert cli.main(argv[:-2]) == 0
+        assert capsys.readouterr().out == first.out
+
+    def test_old_per_column_entries_never_read(self, tmp_path, capsys):
+        old = tmp_path / "epoly_B_stratum_m1_N6.json"
+        old.write_text("{ an old per-column entry")
+        argv = ["table", "bm", "--max-n", "6", "--format", "csv", "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert old.read_text() == "{ an old per-column entry"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "epoly_B_stratum_m1_N6.json", f"epoly_B_stratum_max_m{mu_max(6)}_N6.json"]
 
 
 class TestCli:
@@ -441,3 +539,48 @@ class TestInProcessCli:
         assert cli.main(["table", "bm", "--max-n", "6"]) == 0  # latex, every m column
         labels = " & ".join(f"$m={m}$" for m in range(1, mu_max(6) + 1))
         assert capsys.readouterr().out.splitlines()[1] == f"$n$ & {labels} " + r"\\\hline"
+
+
+def column_variants(kind, n):
+    """The column options of a table call: the default, a smaller bound and,
+    for the m-columns, a bound past mu_max(n) that is clamped with a warning."""
+    if kind == "y0":
+        return [[]]
+    if kind == "hnnr":
+        return [[], ["--max-r", "2"], ["--max-r", "6"]]
+    return [[], ["--max-m", str(max(1, mu_max(n) // 2))], ["--max-m", str(mu_max(n) + 1)]]
+
+
+class TestCachedOutputIsByteIdentical:
+    """A cached call prints what an uncached one prints, on a miss and on a hit."""
+
+    @staticmethod
+    def call(capsys, argv):
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @pytest.mark.parametrize("n", [0, 8, 14])
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_table(self, tmp_path, capsys, kind, n):
+        for i, variant in enumerate(column_variants(kind, n)):
+            for fmt in FORMATS:
+                argv = ["table", kind, "--max-n", str(n), "--format", fmt, *variant]
+                cache_dir = tmp_path / f"{i}-{fmt}"
+                plain = self.call(capsys, argv)
+                assert plain[0] == 0
+                cached = argv + ["--cache-dir", str(cache_dir)]
+                assert self.call(capsys, cached) == plain, argv  # a miss
+                entry, = cache_dir.iterdir()
+                written = entry.stat()
+                assert self.call(capsys, cached) == plain, argv  # a hit
+                assert (entry.stat().st_mtime_ns, entry.stat().st_ino) == (
+                    written.st_mtime_ns, written.st_ino)
+
+    def test_verify(self, tmp_path, capsys):
+        plain = self.call(capsys, ["verify", "--level", "fast"])
+        assert plain[0] == 0 and plain[2] == ""
+        cached = ["verify", "--level", "fast", "--cache-dir", str(tmp_path)]
+        assert self.call(capsys, cached) == plain  # misses
+        assert len(list(tmp_path.iterdir())) == len(TABLE_KINDS)
+        assert self.call(capsys, cached) == plain  # hits
