@@ -6,8 +6,8 @@ Walk through the q-series the package is built on.  Coefficients are
 exact Laurent polynomials in t; the q-power counts points.
 """
 
-from hilbstrata import series_H, series_Hnnr, series_poincare_H, series_Y0, series_Y0_dual
-from hilbstrata.qseries import QSeries
+from hilbstrata import product_factors, series_H, series_Hnnr, series_poincare_H, series_Y0
+from hilbstrata.qseries import QSeries, y0_factors
 
 ORDER = 8
 
@@ -26,10 +26,11 @@ print("\nE(Y0^[n]; t):")
 for n in range(5):
     print(f"  n={n}  {y0.coeff(n)}")
 
-# The dual series inverts it exactly: their product is 1.
-dual = series_Y0_dual(ORDER)
+# The dual series, series_Y0's factors with each power negated, inverts
+# it exactly: their product is 1.
+dual = product_factors(((t, q, -p) for t, q, p in y0_factors(ORDER)), ORDER)
 assert y0 * dual == QSeries.one(ORDER)
-print("\nseries_Y0 * series_Y0_dual == 1   (checked to order", ORDER, ")")
+print("\nseries_Y0 * dual == 1   (checked to order", ORDER, ")")
 
 # Compactly supported Poincare polynomials factor the Hilbert scheme
 # series through the punctured plane.

@@ -9,7 +9,8 @@ products of (1 - t^a q^b)^{+-1} factors, both on packed integers
 arithmetic; the verification suite checks the pipelines against each
 other, against identities on Laurent polynomials and the q-series
 factor steps, against the fixed-point sums and the partition census,
-and against the known small tables.
+and against the known small tables.  Neither pipeline nor the suite
+forms a product of two series: every product is a run of factor steps.
 """
 
 from .laurent import (
@@ -20,13 +21,11 @@ from .laurent import (
 from .qseries import (
     NotInvertibleError,
     QSeries,
-    euler_identity_check,
     product_factors,
     series_H,
     series_Hnnr,
     series_poincare_H,
     series_Y0,
-    series_Y0_dual,
 )
 from .diagrams import (
     MarkedDiagram,
@@ -76,7 +75,6 @@ __all__ = [
     "e_poly_Hnnr_fixed",
     "elbows",
     "enumerate_marked",
-    "euler_identity_check",
     "gauss_binomial",
     "mu_max",
     "mu_of_partition",
@@ -87,7 +85,6 @@ __all__ = [
     "series_Hnnr",
     "series_poincare_H",
     "series_Y0",
-    "series_Y0_dual",
     "tangent_character",
     "verify_all",
 ]

@@ -6,9 +6,10 @@ never read, and an old boundless y0 entry fails screening once.  Each
 q^n coefficient is an int row, its low t-exponent and then its
 coefficients.  An entry must match its key and hold ints only, the
 builder's column count and the key's order in each column, and every
-column must agree with its rebuild at one random index per entry; else
-it is rebuilt and rewritten with a warning on stderr.  Writes go through
-a temp file and os.replace, so no reader sees a half-written entry.
+column must agree with its rebuild to one random order p per entry, in
+each of q^0..q^p; else it is rebuilt and rewritten with a warning on
+stderr, which names the first stale index.  Writes go through a temp
+file and os.replace, so no reader sees a half-written entry.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class SeriesCache:
             if len(fresh) != len(columns):
                 raise ValueError(f"{len(columns)} columns, not {len(fresh)}")
             for j, (col, new) in enumerate(zip(columns, fresh), 1):
-                if col.coeff(probe) != new.coeff(probe):
-                    raise ValueError(f"stale coefficient at q^{probe} in column {j}")
+                for n, (old, want) in enumerate(zip(col.coeffs, new.coeffs)):
+                    if old != want:  # the rebuild holds q^0..q^probe: compare them all
+                        raise ValueError(f"stale coefficient at q^{n} in column {j}")
         except FileNotFoundError:  # a miss
             return None
         except Exception as exc:  # any unreadable entry is just recomputed

@@ -8,14 +8,15 @@ omitted factor is 1 + O(q^{N+1}).
 Every product runs as factor steps (mul_one_minus and div_one_minus):
 product_factors multiplies a list of factors onto 1, and the nested rows
 are one running product per order (_hnnr_products), one factor step per
-row, which series_H, series_Hnnr and the Euler check all read.
+row, which series_H and series_Hnnr read.  No library path forms a
+product of two series; QSeries.__mul__ and inv stay only because the
+benchmark's tracer (perfbench/tracing.py) wraps them by name.
 
 All the named generating functions live here:
 
   series_H          prod_d 1/(1 - t^{d+1} q^d)          (Hilbert scheme of the plane)
   series_Hnnr(r)    q^C(r,2) * series_H * prod_{d<=r} 1/(1 - t^d q^d)
   series_Y0         prod_d (1 - t^{d-1} q^d)/(1 - t^{d+1} q^d)   (punctured plane)
-  series_Y0_dual    the reciprocal product (dual E-polynomials)
   series_poincare_H prod_d 1/(1 - t^{d-1} q^d)          (Poincare polynomials)
 """
 
@@ -25,7 +26,6 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .diagrams import mu_max
 from .laurent import ONE, ZERO, LaurentPoly
 
 
@@ -188,57 +188,29 @@ def _hnnr_products(order: int) -> dict[int, QSeries]:
     The only builder of nested rows on the q-series side.  Its readers are
     series_H, series_Hnnr (which adds the products on demand, by
     setdefault, so concurrent callers agree), build_R, the columns of the
-    hnnr table, the cache probes and euler_identity_check: at one order
-    they all share one running product.  Callers get copies (series_H,
-    series_Hnnr), since a QSeries's coefficient list is mutable and the
-    products here outlive them.  A few orders are kept (a cached table
-    probes at random orders); the products up to r = 19 at order 200 hold
-    about 27 MB.
+    hnnr table and the cache probes: at one order they all share one
+    running product.  Callers get copies (series_H, series_Hnnr), since a
+    QSeries's coefficient list is mutable and the products here outlive
+    them.  A few orders are kept (a cached table probes at random orders);
+    the products up to r = 19 at order 200 hold about 27 MB.
     """
     return {0: product_factors(((d + 1, d, -1) for d in range(1, order + 1)), order)}
 
 
 def series_Y0(order: int) -> QSeries:
-    """E-polynomial generating function for points on the punctured plane:
-    series_Y0_dual's factors with each power negated."""
-    return product_factors(((t, q, -p) for t, q, p in y0_dual_factors(order)), order)
+    """E-polynomial generating function for points on the punctured plane."""
+    return product_factors(y0_factors(order), order)
 
 
-def y0_dual_factors(order: int) -> list[tuple[int, int, int]]:
-    """The factors of series_Y0_dual: prod_d (1 - t^{d+1} q^d)/(1 - t^{d-1} q^d)."""
-    factors = [(d + 1, d, 1) for d in range(1, order + 1)]
-    factors += [(d - 1, d, -1) for d in range(1, order + 1)]
+def y0_factors(order: int) -> list[tuple[int, int, int]]:
+    """The factors of series_Y0: prod_d (1 - t^{d-1} q^d)/(1 - t^{d+1} q^d),
+    numerators first: their partial products are sparse, so steps run faster."""
+    factors = [(d - 1, d, 1) for d in range(1, order + 1)]
+    factors += [(d + 1, d, -1) for d in range(1, order + 1)]
     return factors
-
-
-def series_Y0_dual(order: int) -> QSeries:
-    """Dual E-polynomial generating function; reciprocal of series_Y0."""
-    return product_factors(y0_dual_factors(order), order)
 
 
 def series_poincare_H(order: int) -> QSeries:
     """Generating function of Poincare polynomials of the Hilbert schemes."""
     return product_factors(((d - 1, d, -1) for d in range(1, order + 1)), order)
 
-
-def euler_identity_check(t_exp_z: int, order: int) -> bool:
-    """Check the Euler expansion of prod (1 - z q^n) after q -> tq, z -> t^{t_exp_z},
-    both sides multiplied by series_H.
-
-    Euler: sum_{n>=0} (-1)^n z^n (tq)^C(n,2) / prod_{d<=n} (1 - t^d q^d)
-         = (1 - z) prod_{d>=1} (1 - z t^d q^d).
-    series_H has constant term 1, so multiplying both sides by it is
-    injective, and the check is equivalent to Euler's identity.  Times
-    series_H, term n >= 1 of the left side is (-1)^n t^{n z + C(n,2)}
-    series_Hnnr(n), a row of the running product that build_R and the hnnr
-    table read; the right side is series_H times the factors
-    (1 - t^{z+d} q^d) and (1 - t^z).  Both are compared as truncated series.
-    """
-    lhs = series_H(order).coeffs
-    for n in range(1, mu_max(order) + 1):
-        shift, sign = n * t_exp_z + comb(n, 2), (-1) ** n
-        lhs = [c.add_shifted(r, shift, sign) for c, r in zip(lhs, series_Hnnr(n, order).coeffs)]
-    rhs = series_H(order)
-    for d in range(1, order + 1):
-        rhs = rhs.mul_one_minus(t_exp_z + d, d)
-    return lhs == [c.add_shifted(c, t_exp_z, -1) for c in rhs.coeffs]

@@ -29,7 +29,7 @@ from hilbstrata.strata import verify_all
 P = LaurentPoly.from_string
 
 CAUCHY = "Cauchy q-binomial theorem"
-A_AINV = "A * Ainv == I"
+Y0 = "y0 == X_1 (punctured plane)"
 R_GX = "R == G.X (Grassmannian fibers)"
 X_BA = "X == B.A (origin/punctured split)"
 CLOSED_FORMS = "closed forms == matrix pipeline"
@@ -37,7 +37,6 @@ FIXED_POINTS = "fixed-point sums == product series"
 CHI = "chi == B(1) == fixed-point census"
 SUM_X = "sum_m X[m][n] == E(H^[n])"
 CENSUS_SUMS = "sum_m B[m][n], sum_m X[m][n] == partition census"
-EULER = "Euler product identity"
 
 
 def clear_memo_caches():
@@ -49,14 +48,15 @@ def clear_memo_caches():
                     value.cache_clear()
 
 
-def factor_step(name, q_exp, n, extra):
-    """Add extra to q^n of every QSeries.<name> step with that q_exp."""
+def factor_step(name, q_exp, n, extra, t_exp=None):
+    """Add extra to q^n of every QSeries.<name> step with that q_exp (and
+    that t_exp, if one is given)."""
     def perturb(mp):
         true_step = getattr(QSeries, name)
 
-        def step(self, t_exp, q):
-            out = true_step(self, t_exp, q)
-            if q == q_exp and out.order >= n:
+        def step(self, t, q):
+            out = true_step(self, t, q)
+            if q == q_exp and t_exp in (None, t) and out.order >= n:
                 out.coeffs[n] = out.coeffs[n] + P(extra)
             return out
 
@@ -84,31 +84,6 @@ def q_pascal_row(mp):
         return (*row[:2], row[2] + P("t^5-t"), *row[3:]) if m == 4 else row
 
     mp.setattr(laurent, "_q_pascal_row", perturbed)
-
-
-def laurent_mul(mp):
-    """Add t^5 - t to every LaurentPoly product of more than 3 terms."""
-    true_mul, extra = LaurentPoly.__mul__, P("t^5-t")
-
-    def perturbed(self, other):
-        out = true_mul(self, other)
-        return out + extra if len(list(out.items())) > 3 else out
-
-    mp.setattr(LaurentPoly, "__mul__", perturbed)
-    mp.setattr(LaurentPoly, "__rmul__", perturbed)
-
-
-def qseries_mul(mp):
-    """Add t^4 - t to q^6 of every QSeries product that reaches it."""
-    true_mul, extra = QSeries.__mul__, P("t^4-t")
-
-    def perturbed(self, other):
-        out = true_mul(self, other)
-        if out.order >= 6:
-            out.coeffs[6] = out.coeffs[6] + extra
-        return out
-
-    mp.setattr(QSeries, "__mul__", perturbed)
 
 
 def bump(table, i, *rest):
@@ -191,20 +166,20 @@ def census(mp):
 
 CASES = [
     ("QSeries.div_one_minus", factor_step("div_one_minus", 3, 6, "t^4-t"),
-     {A_AINV, R_GX, FIXED_POINTS, SUM_X, EULER}),
-    ("QSeries.mul_one_minus", factor_step("mul_one_minus", 2, 5, "t^4-t"),
-     {A_AINV, EULER}),
+     {Y0, R_GX, FIXED_POINTS, SUM_X}),
+    # only the running product's r = 3 step divides by 1 - t^3 q^3
+    ("QSeries.div_one_minus running product",
+     factor_step("div_one_minus", 3, 6, "t^4-t", t_exp=3), {R_GX, FIXED_POINTS}),
+    ("QSeries.mul_one_minus", factor_step("mul_one_minus", 2, 5, "t^4-t"), {Y0}),
     ("LaurentPoly.add_shifted", add_shifted,
-     {CAUCHY, A_AINV, R_GX, FIXED_POINTS, SUM_X, EULER}),
+     {CAUCHY, Y0, R_GX, FIXED_POINTS, SUM_X}),
     ("laurent._q_pascal_row", q_pascal_row, {CAUCHY, R_GX}),
     ("strata._div_one_minus", packed_div_one_minus,
-     {R_GX, X_BA, CLOSED_FORMS, SUM_X, CENSUS_SUMS}),
+     {Y0, R_GX, X_BA, CLOSED_FORMS, SUM_X, CENSUS_SUMS}),
     ("packed.unpack", unpack, {X_BA, CENSUS_SUMS}),
     ("packed.t_column", t_column, {CLOSED_FORMS}),
     ("packed.gauss_at", gauss_at, {CLOSED_FORMS}),
     ("diagrams._census", census, {CHI, FIXED_POINTS, CENSUS_SUMS}),
-    ("LaurentPoly.__mul__", laurent_mul, {A_AINV}),
-    ("QSeries.__mul__", qseries_mul, {A_AINV}),
 ]
 
 # Faults in the plain-int tables of the t = 1 guard change values at

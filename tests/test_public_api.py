@@ -26,7 +26,6 @@ PUBLIC = [
     "e_poly_Hnnr_fixed",
     "elbows",
     "enumerate_marked",
-    "euler_identity_check",
     "gauss_binomial",
     "mu_max",
     "mu_of_partition",
@@ -36,7 +35,6 @@ PUBLIC = [
     "series_H",
     "series_Hnnr",
     "series_Y0",
-    "series_Y0_dual",
     "series_poincare_H",
     "tangent_character",
     "verify_all",
@@ -58,6 +56,9 @@ REMOVED = [
     (qseries, "q_pochhammer"),
     (qseries, "series_Hnnr_rows"),
     (qseries, "_nested_rows"),
+    (qseries, "euler_identity_check"),
+    (qseries, "series_Y0_dual"),
+    (qseries, "y0_dual_factors"),
     (strata, "ginv_entry"),
     (strata, "lemma_identity_check"),
     (tables, "table_from_csv"),

@@ -12,19 +12,18 @@ from hypothesis import strategies as st
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
 from hilbstrata import qseries, strata
 from hilbstrata.cache import SeriesCache, decode_row, encode_row
-from hilbstrata.diagrams import mu_max
 from hilbstrata.tables import build_table
 from hilbstrata.qseries import (
     NotInvertibleError,
     QSeries,
-    euler_identity_check,
     product_factors,
     series_H,
     series_Hnnr,
     series_poincare_H,
     series_Y0,
-    series_Y0_dual,
 )
+
+from series_oracle import euler_sides, y0_dual
 
 P = LaurentPoly.from_string
 
@@ -314,7 +313,7 @@ class TestNamedSeries:
     def test_series_Y0_dual_is_poincare_dual(self):
         # coefficient n of the dual series is t^{2n} E(Y0^[n]; 1/t)
         y0 = series_Y0(8)
-        dual = series_Y0_dual(8)
+        dual = y0_dual(8)
         assert dual.coeff(0) == ONE
         assert dual.coeff(1) == P("1-t^2")
         for n in range(9):
@@ -322,10 +321,10 @@ class TestNamedSeries:
 
     def test_series_Y0_times_dual_is_one(self):
         for order in (1, 4, 10):
-            assert series_Y0(order) * series_Y0_dual(order) == QSeries.one(order)
+            assert series_Y0(order) * y0_dual(order) == QSeries.one(order)
 
     def test_series_Y0_inverse_via_inv(self):
-        assert series_Y0(8).inv() == series_Y0_dual(8)
+        assert series_Y0(8).inv() == y0_dual(8)
 
     def test_poincare_series(self):
         s = series_poincare_H(10)
@@ -338,27 +337,14 @@ class TestNamedSeries:
 
 
 class TestEulerIdentity:
+    """Euler's product identity in its classical form, both sides built by
+    product_factors (series_oracle.euler_sides)."""
+
     def test_z_equal_one_degenerates(self):
-        assert euler_identity_check(0, 8)
-
-    def test_reads_the_running_product_of_build_R(self, monkeypatch):
-        # once build_R has run at the order, the left side's rows are all
-        # built: the check runs only the right side's order mul_one_minus steps
-        strata.build_R(mu_max(12), 12)
-        calls = []
-        for name in ("mul_one_minus", "div_one_minus"):
-            true_step = getattr(QSeries, name)
-
-            def counted(self, t_exp, q_exp, name=name, true_step=true_step):
-                calls.append(name)
-                return true_step(self, t_exp, q_exp)
-
-            monkeypatch.setattr(QSeries, name, counted)
-        for z_exp in range(-5, 1):
-            calls.clear()
-            assert euler_identity_check(z_exp, 12), z_exp
-            assert calls == ["mul_one_minus"] * 12, z_exp
+        lhs, rhs = euler_sides(0, 8)
+        assert lhs == rhs == QSeries.zero(8)
 
     @pytest.mark.parametrize("z_exp", range(-5, 1))
     def test_sweep(self, z_exp):
-        assert euler_identity_check(z_exp, 12)
+        lhs, rhs = euler_sides(z_exp, 12)
+        assert lhs == rhs

@@ -9,7 +9,7 @@ from hilbstrata.diagrams import (
     count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max, partitions_of)
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
 from hilbstrata import laurent, packed, qseries, strata
-from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0, series_Y0_dual
+from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0
 from hilbstrata.strata import (
     CheckResult,
     VerificationReport,
@@ -24,8 +24,11 @@ from hilbstrata.strata import (
     grassmannian_cells,
     verify_all,
 )
+from hilbstrata.tables import TABLE_KINDS, build_table
 
 from reference_data import B_TABLE, CHI_TABLE, H_TABLE, Y0_TABLE
+from series_oracle import y0_dual
+from test_fault_matrix import clear_memo_caches
 
 P = LaurentPoly.from_string
 
@@ -59,7 +62,7 @@ def q_shifted(s, k):
 
 class TestMatrices:
     """G(k, m) = gauss(k, m) and its inverse; A and Ainv as the series
-    series_Y0 and series_Y0_dual; R as the nested-scheme rows."""
+    series_Y0 and its reciprocal y0_dual; R as the nested-scheme rows."""
 
     def test_G_entries(self):
         assert gauss_binomial(1, 1) == ONE
@@ -92,7 +95,7 @@ class TestMatrices:
 
     @pytest.mark.parametrize("order", [1, 5, 10])
     def test_A_inverse_both_sides(self, order):
-        a, ai = series_Y0(order), series_Y0_dual(order)
+        a, ai = series_Y0(order), y0_dual(order)
         assert a * ai == QSeries.one(order)
         assert ai * a == QSeries.one(order)
 
@@ -213,19 +216,19 @@ class TestGaussInversion:
     def test_rows_are_ginv_weighted_sums(self, order):
         top = mu_max(order)
         r = build_R(top, order).rows
-        dual = series_Y0_dual(order)
+        dual = y0_dual(order)
         d = {k: row * dual for k, row in r.items()}
         assert compute_X(order).rows == self.ginv_sums(r, order)
         assert compute_B(order).rows == self.ginv_sums(d, order)
 
     def test_nested_rows_times_dual_are_the_poincare_seeded_rows(self):
         # q^C(k,2) * series_poincare_H * prod_{d<=k} 1/(1 - t^d q^d), the rows
-        # B is inverted from, are R_k * series_Y0_dual: the two seeds differ
-        # by exactly series_Y0_dual's factors
+        # B is inverted from, are R_k / series_Y0: the two seeds differ by
+        # exactly series_Y0's factors
         for k in range(1, 8):
             factors = [(d - 1, d, -1) for d in range(1, 21)] + [(d, d, -1) for d in range(1, k + 1)]
             row = q_shifted(qseries.product_factors(factors, 20), comb(k, 2))
-            want = series_Hnnr(k, 20) * series_Y0_dual(20)
+            want = series_Hnnr(k, 20) * y0_dual(20)
             assert row.coeffs == want.coeffs, k
 
     @pytest.mark.parametrize("order", [0, 5, 14])
@@ -282,7 +285,7 @@ class TestClosedForms:
 class TestOrder30:
     """The matrix pipeline runs on packed ints; these pin its rows at
     order 30 against the closed forms, the LaurentPoly Cauchy product with
-    series_Y0_dual and the independent partition census."""
+    y0_dual and the independent partition census."""
 
     ORDER = 30
 
@@ -302,7 +305,7 @@ class TestOrder30:
 
     def test_B_rows_equal_cauchy_product_with_dual(self, pipeline):
         x, b = pipeline
-        dual = series_Y0_dual(self.ORDER)
+        dual = y0_dual(self.ORDER)
         for m in x.rows:
             row = QSeries([x.get(m, n) for n in range(self.ORDER + 1)]) * dual
             assert [b.get(m, n) for n in range(self.ORDER + 1)] == row.coeffs, m
@@ -374,9 +377,9 @@ class TestPackedKernel:
                     order, k)
 
     def test_bound_premise_rows_times_dual_are_nonnegative(self):
-        # digit_bits bounds B by R_k series_Y0_dual at t = 1: that product must
+        # digit_bits bounds B by R_k / series_Y0 at t = 1: that product must
         # have only nonnegative coefficients and equal R_k there
-        dual = series_Y0_dual(20)
+        dual = y0_dual(20)
         products = [series_Hnnr(k, 20) * dual for k in range(1, mu_max(20) + 1)]
         for product in products:
             assert all(c >= 0 for n in range(21) for _, c in product.coeff(n).items())
@@ -563,7 +566,7 @@ class TestVerifyAll:
         assert report.passed
         assert {c.name for c in report.checks} >= {
             "Cauchy q-binomial theorem",
-            "A * Ainv == I",
+            "y0 == X_1 (punctured plane)",
             "closed forms == matrix pipeline",
         }
 
@@ -692,19 +695,19 @@ class TestVerifyAll:
         b = compute_B(30, x_matrix=x)
         assert not mismatches(census_column_cells(x, b, 30))
 
-    def test_corrupted_dual_series_fails_A_Ainv(self, monkeypatch):
-        true_dual = qseries.series_Y0_dual
+    def test_corrupted_series_Y0_fails_only_y0(self, monkeypatch):
+        # X == B.A applies series_Y0's factors itself: only the y0 check reads it
+        true_y0 = qseries.series_Y0
 
         def corrupted(order):
-            s = true_dual(order)
+            s = true_y0(order)
             s.coeffs[2] = s.coeffs[2] + ONE
             return s
 
-        monkeypatch.setattr(qseries, "series_Y0_dual", corrupted)
+        monkeypatch.setattr(qseries, "series_Y0", corrupted)
         report = verify_all(4)
         failed = {c.name: c.failures for c in report.checks if not c.passed}
-        assert list(failed) == ["A * Ainv == I"]
-        assert failed["A * Ainv == I"][0] == [2]
+        assert failed == {"y0 == X_1 (punctured plane)": [[2]]}
 
     def test_zero_cell_check_fails(self):
         vacuous = CheckResult.compare("nothing compared", [])
@@ -752,7 +755,7 @@ class TestVerifyAll:
     def test_identity_checks_run_at_the_clamped_order(self, order, identity_order):
         cells = {c.name: c.cells_compared for c in verify_all(order).checks}
         assert cells["Cauchy q-binomial theorem"] == identity_order * (identity_order + 1) // 2
-        assert cells["A * Ainv == I"] == identity_order + 1
+        assert cells["y0 == X_1 (punctured plane)"] == order + 1
 
     def test_report_serializes(self):
         report = verify_all(4)
@@ -760,6 +763,37 @@ class TestVerifyAll:
         assert obj["passed"] is True
         assert all("name" in c and "failures" in c for c in obj["checks"])
         assert all(c["cells_compared"] > 0 for c in obj["checks"])
+
+
+class TestNoSeriesProduct:
+    """No library path multiplies two series or two polynomials: with the
+    generic products patched to raise, verify_all passes and every table
+    kind builds.  QSeries.__mul__ and inv, LaurentPoly.__mul__/__rmul__ and
+    exact_div stay in the library only because the benchmark's tracer
+    (perfbench/tracing.py) wraps them by name; ROADMAP items 1, 7 and 9
+    remove them."""
+
+    @pytest.fixture
+    def forbidden(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a library path formed a generic product")
+
+        for owner, names in ((QSeries, ("__mul__", "inv")),
+                             (LaurentPoly, ("__mul__", "__rmul__", "exact_div"))):
+            for name in names:
+                monkeypatch.setattr(owner, name, forbidden)
+        clear_memo_caches()  # nothing memoized before the patch is read
+        yield
+        clear_memo_caches()
+
+    @pytest.mark.parametrize("order", [0, 8, 14, 48])
+    def test_verify_all(self, forbidden, order):
+        assert verify_all(order).passed
+
+    def test_every_table_kind(self, forbidden):
+        for kind in TABLE_KINDS:
+            table = build_table(kind, 14)
+            assert len(table.cells) == 15 and any(map(any, table.cells)), kind
 
 
 class TestErrorPaths:

@@ -267,6 +267,18 @@ class TestSeriesCache:
         assert calls == [9, 6, 7, 9]
         assert entry_of(tmp_path)[1]["columns"][2][7] == encode_row(closed_form_B(3, 9).coeff(7))
 
+    def test_stale_coefficient_below_the_probe_caught(self, tmp_path, monkeypatch, capsys):
+        # the rebuild at probe 9 holds q^0..q^9, and every one is compared
+        cache = SeriesCache(tmp_path)
+        cache.get("epoly_B_stratum", {"max_m": 4}, 12, bm_columns)
+        victim, payload = entry_of(tmp_path)
+        payload["columns"][2][7] = encode_row(closed_form_B(3, 12).coeff(7) + 1)
+        victim.write_text(json.dumps(payload))
+        monkeypatch.setattr(cache.rng, "randint", lambda lo, hi: 9)
+        assert cache.get("epoly_B_stratum", {"max_m": 4}, 12, bm_columns) == bm_columns(12)
+        assert "stale coefficient at q^7 in column 3" in capsys.readouterr().err
+        assert entry_of(tmp_path)[1]["columns"][2][7] == encode_row(closed_form_B(3, 12).coeff(7))
+
     @pytest.mark.parametrize("fault, cell, message", [
         ("column count", None, "3 columns, not 4"),
         ("float cell", "1.0", "invalid literal for int() with base 10: '1.0'"),
