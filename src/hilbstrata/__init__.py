@@ -44,7 +44,6 @@ from .diagrams import (
 from .strata import (
     StrataMatrix,
     VerificationReport,
-    build_R,
     chi_series,
     closed_form_B,
     closed_form_X,
@@ -64,7 +63,6 @@ __all__ = [
     "StrataMatrix",
     "VerificationReport",
     "alpha",
-    "build_R",
     "chi_series",
     "closed_form_B",
     "closed_form_X",

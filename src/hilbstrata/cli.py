@@ -4,10 +4,10 @@
                    [--format {latex,csv,json}] [--cache-dir DIR]
   hilbstrata verify [--level {fast,full} | --max-n N] [--cache-dir DIR]
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.  The
-cache directory defaults to $HILBSTRATA_CACHE_DIR, read on each call of
-main, when set.  The parser is built once, at import, and every call of
-main parses with it.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (an
+unusable cache directory among them).  The cache directory defaults to
+$HILBSTRATA_CACHE_DIR, read on each call of main, when set.  The parser
+is built once, at import, and every call of main parses with it.
 """
 
 from __future__ import annotations
@@ -53,12 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _open_cache(directory, parser) -> SeriesCache | None:
+    try:
+        return SeriesCache(directory) if directory else None
+    except OSError as exc:
+        parser.error(f"cannot use the cache directory {directory}: {exc.strerror or exc}")
+
+
 def cmd_table(args, parser) -> int:
     try:  # only the bounds: a ValueError from the build is not a usage error
         check_bounds(args.kind, args.max_n, args.max_m, args.max_r)
     except ValueError as exc:
         parser.error(str(exc))
-    cache = SeriesCache(args.cache_dir) if args.cache_dir else None
+    cache = _open_cache(args.cache_dir, parser)
     table = build_table(args.kind, args.max_n, args.max_m, args.max_r, cache)
     sys.stdout.write(render(table, args.fmt))
     return 0
@@ -68,10 +75,10 @@ def cmd_verify(args, parser) -> int:
     order = (14 if args.level == "full" else 8) if args.max_n is None else args.max_n
     if order < 0:
         parser.error("--max-n must be >= 0")
-    if args.cache_dir:
+    cache = _open_cache(args.cache_dir, parser)
+    if cache is not None:
         # screen the cached entry of every default table at this order;
         # the cache logs its own repairs
-        cache = SeriesCache(args.cache_dir)
         for kind in TABLE_KINDS:
             build_table(kind, order, cache=cache)
     report = strata.verify_all(order)

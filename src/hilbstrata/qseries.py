@@ -8,14 +8,14 @@ omitted factor is 1 + O(q^{N+1}).
 Every product runs as factor steps (mul_one_minus and div_one_minus):
 product_factors multiplies a list of factors onto 1, and the nested rows
 are one running product per order (_hnnr_products), one factor step per
-row, which series_H and series_Hnnr read.  No library path forms a
-product of two series; QSeries.__mul__ and inv stay only because the
-benchmark's tracer (perfbench/tracing.py) wraps them by name.
+row, which series_Hnnr reads; series_H is its row r = 0.  No library
+path forms a product of two series; QSeries.__mul__ and inv stay only
+because the benchmark's tracer (perfbench/tracing.py) wraps them by name.
 
 All the named generating functions live here:
 
   series_H          prod_d 1/(1 - t^{d+1} q^d)          (Hilbert scheme of the plane)
-  series_Hnnr(r)    q^C(r,2) * series_H * prod_{d<=r} 1/(1 - t^d q^d)
+  series_Hnnr(r)    q^C(r,2) * series_H * prod_{d<=r} 1/(1 - t^d q^d)   (r = 0: series_H)
   series_Y0         prod_d (1 - t^{d-1} q^d)/(1 - t^{d+1} q^d)   (punctured plane)
   series_poincare_H prod_d 1/(1 - t^{d-1} q^d)          (Poincare polynomials)
 """
@@ -60,14 +60,6 @@ class QSeries:
     def coeff(self, n: int) -> LaurentPoly:
         """Coefficient of q^n (zero beyond the truncation order)."""
         return self.coeffs[n] if 0 <= n <= self.order else ZERO
-
-    def __add__(self, other: QSeries) -> QSeries:
-        """Termwise sum; both operands must have the same order."""
-        # A sum is known only up to the smaller order; returning it would
-        # drop the larger operand's top coefficients without a word.
-        if self.order != other.order:
-            raise ValueError(f"series orders differ ({self.order} + {other.order})")
-        return QSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: QSeries) -> QSeries:
         """Cauchy product truncated at the smaller order."""
@@ -157,19 +149,19 @@ def product_factors(
 
 
 def series_H(order: int) -> QSeries:
-    """Generating function of E-polynomials of Hilbert schemes of the plane."""
-    return QSeries(_hnnr_products(order)[0].coeffs)
+    """E-polynomials of the Hilbert schemes of the plane: H^[n,n] = H^[n]."""
+    return series_Hnnr(0, order)
 
 
 def series_Hnnr(r: int, order: int) -> QSeries:
     """Generating function of E-polynomials of the nested (n, n+r) Hilbert schemes.
 
-    Equals q^C(r,2) * series_H * prod_{d=1}^{r} 1/(1 - t^d q^d); in
-    particular the q^n coefficient vanishes for n < C(r,2), so for
+    Equals q^C(r,2) * series_H * prod_{d=1}^{r} 1/(1 - t^d q^d), series_H
+    at r = 0; the q^n coefficient vanishes for n < C(r,2), so for
     C(r,2) > order the row is zero to the order and no factor step runs.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if r < 0:
+        raise ValueError("r must be >= 0")
     shift = comb(r, 2)
     if shift > order:
         return QSeries.zero(order)
@@ -185,11 +177,11 @@ def _hnnr_products(order: int) -> dict[int, QSeries]:
     """r -> the running product series_H * prod_{d<=r} 1/(1 - t^d q^d) at
     one order, for r = 0, 1, ..., one factor step apart.
 
-    The only builder of nested rows on the q-series side.  Its readers are
-    series_H, series_Hnnr (which adds the products on demand, by
-    setdefault, so concurrent callers agree), build_R, the columns of the
-    hnnr table and the cache probes: at one order they all share one
-    running product.  Callers get copies (series_H, series_Hnnr), since a
+    The only builder of nested rows on the q-series side, read only by
+    series_Hnnr, which adds the products on demand, by setdefault, so
+    concurrent callers agree.  series_H (r = 0), verify_all's rows, the
+    hnnr table's columns and the cache probes all read series_Hnnr, so at
+    one order they share one running product.  Callers get copies, since a
     QSeries's coefficient list is mutable and the products here outlive
     them.  A few orders are kept (a cached table probes at random orders);
     the products up to r = 19 at order 200 hold about 27 MB.

@@ -8,7 +8,7 @@ Matrix pipeline: with R_r = series_Hnnr(r) the nested-scheme rows and
 Ginv(m, k) = (-1)^{k-m} t^{C(k-m,2)} gauss(k, m) the inverse of the
 Gaussian-binomial matrix G(k, m) = gauss(k, m),
 
-    X_m = sum_k Ginv(m, k) R_k      (R_r = sum_m gauss(m, r) X_m)
+    X_m = sum_k Ginv(m, k) R_k      (R_r = sum_m gauss(m, r) X_m, r >= 0)
     B_m = sum_k Ginv(m, k) D_k      (D_k = R_k / series_Y0)
 
 so X_m = B_m * series_Y0.  No entry of Ginv is formed: by Cauchy's
@@ -66,17 +66,17 @@ packed.chi_at_one, and a mismatch raises ArithmeticError naming (m, n).
 
 A fault in the shared part that keeps the values at t = 1 would pass
 the guard and the cross-route check alike, so verify_all also checks
-every X and B cell by plain-int evaluation at the check's own K, never
-reading a packed value: X_1 == series_Y0 (B_1 = 1; the y0 table reads
-series_Y0) and sum_m X_m == series_H in LaurentPoly arithmetic,
-R == G.X with R built by qseries factor steps, and X == B.A with
-series_Y0's factors applied as int factor steps.  The product checks
-(these two and Cauchy's theorem) compare each cell as p(2^K) == q(2^K),
-K two bits above the larger l1 norm bound of the two sides, read off
-the operands themselves (_width), which makes the comparison exact.
-Every entry is also checked against the fixed-point census of
-partitions, and at t = 1 against chi_series, which reads the same
-plain-int table as the guard.
+every X and B cell without reading a packed value: X_1 == series_Y0
+(B_1 = 1; the y0 table reads series_Y0), R == G.X with R_0, R_1, ...
+built by qseries factor steps (R_0 = series_H and gauss(m, 0) = 1, so
+its row r = 0 is sum_m X_m == series_H), X == B.A with series_Y0's
+factors applied as int factor steps, and sum_m B_m against the
+partition census.  The product checks (these two and Cauchy's theorem)
+compare each cell as p(2^K) == q(2^K), K two bits above the larger l1
+norm bound of the two sides, read off the operands themselves
+(_width), which makes the comparison exact.  R_0..R_4 are checked
+against the fixed-point sums, and chi_series, which reads the guard's
+plain-int table, against the fixed-point census.
 """
 
 from __future__ import annotations
@@ -108,14 +108,6 @@ class StrataMatrix:
 
 
 # -- the matrix pipeline ------------------------------------------------
-
-
-def build_R(max_r: int, order: int) -> StrataMatrix:
-    """Nested-scheme rows R_r = series_Hnnr(r, order) for 1 <= r <= max_r,
-    read off qseries' running product one factor step apart."""
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
-    return StrataMatrix({r: qseries.series_Hnnr(r, order) for r in range(1, max_r + 1)})
 
 
 def compute_X(order: int) -> StrataMatrix:
@@ -373,7 +365,8 @@ def grassmannian_cells(
     r_matrix: StrataMatrix, x_matrix: StrataMatrix
 ) -> Iterator[Comparison]:
     """Cells (r, n) of R_r == sum_m gauss(m, r) X_m (Grassmannian fibers),
-    compared as ints at t = 2^K.
+    compared as ints at t = 2^K.  The row r = 0, where gauss(m, 0) = 1, is
+    sum_m X_m == series_H: H^[n] is the union of its strata.
 
     Every X cell is evaluated once, at one K for all r.  Times t^{-lg-lx}
     (lg = lx = 0 unless an operand has a negative exponent), both sides
@@ -445,31 +438,14 @@ def _times_factor(col: list[int], q_exp: int, shift: int, power: int, sign: int 
             col[n] -= col[n - q_exp] << shift
 
 
-def census_column_cells(
-    x_matrix: StrataMatrix, b_matrix: StrataMatrix, order: int
-) -> Iterator[Comparison]:
-    """Cells (n, family) of the column sums against the partition census:
-    sum_m E(B^[n]_m) == sum_{l |- n} t^{n-len(l)} and
-    sum_m E(H^[n]_m) == sum_{l |- n} t^{n+len(l)} (Ellingsrud-Stromme).
-
-    By conjugation, counting partitions by number of parts is counting
-    them by largest part, which is what the census keeps: the sums are
-    the r = 0 fixed-point sums e_poly_Bnnr_fixed(n, 0), e_poly_Hnnr_fixed(n, 0).
-    """
-    for n in range(order + 1):
-        for tag, family, want in (("B", b_matrix, e_poly_Bnnr_fixed(n, 0)),
-                                  ("X", x_matrix, e_poly_Hnnr_fixed(n, 0))):
-            yield [n, tag], sum((family.get(m, n) for m in family.rows), ZERO), want
-
-
 def verify_all(order: int) -> VerificationReport:
     """Run every internal identity and cross-pipeline check at the given order.
 
     Every check size comes from the order.  Cauchy's q-binomial theorem
     runs at the order clamped to 8..12, and the fixed-point check compares
     the partition-census sums with the rows of R for r <= min(mu_max(order), 4)
-    and C(r, 2) <= n <= order, so no cell it compares vanishes by
-    construction.  A check that compares no cell fails.
+    (R_0 = series_H among them) and C(r, 2) <= n <= order, so no cell it
+    compares vanishes by construction.  A check that compares no cell fails.
     """
     checks: list[CheckResult] = []
 
@@ -480,7 +456,7 @@ def verify_all(order: int) -> VerificationReport:
         raise ValueError("order must be >= 0")
     identity_order = min(max(order, 8), 12)
     top = mu_max(order)  # always >= 1
-    r_ser = build_R(top, order)
+    r_ser = StrataMatrix({r: qseries.series_Hnnr(r, order) for r in range(top + 1)})
     x = compute_X(order)
     b = compute_B(order)
 
@@ -504,25 +480,22 @@ def verify_all(order: int) -> VerificationReport:
     # from n = C(r, 2) on: below it both sides vanish by construction
     run("fixed-point sums == product series", (
         ([r, n], e_poly_Hnnr_fixed(n, r), r_ser.get(r, n))
-        for r in range(1, min(top, 4) + 1) for n in range(comb(r, 2), order + 1)
+        for r in range(min(top, 4) + 1) for n in range(comb(r, 2), order + 1)
     ))
 
-    # Euler characteristics three ways: chi coefficients must be the
-    # constant census values, and B must specialize to them at t = 1
+    # chi against the census (each B cell at t = 1 is chi, or _decode raised)
     def chi_cells():
         for m in range(1, top + 1):
             chi = chi_series(m, order)
             for n in range(order + 1):
-                census = count_partitions_with_mu(n, m)
-                yield [m, n, "chi"], chi.coeff(n), LaurentPoly.const(census)
-                yield [m, n, "B(1)"], b.get(m, n).eval_at_one(), census
+                yield [m, n], chi.coeff(n), LaurentPoly.const(count_partitions_with_mu(n, m))
 
-    run("chi == B(1) == fixed-point census", chi_cells())
+    run("chi == fixed-point census", chi_cells())
 
-    # column sums against the full Hilbert scheme series
-    run("sum_m X[m][n] == E(H^[n])", series_cells(
-        [], sum(x.rows.values(), QSeries.zero(order)), qseries.series_H(order)))
-    run("sum_m B[m][n], sum_m X[m][n] == partition census",
-        census_column_cells(x, b, order))
+    # B's column sums against the census (X's are R == G.X's row r = 0)
+    run("sum_m B[m][n] == partition census", (
+        ([n], sum((b.get(m, n) for m in b.rows), ZERO), e_poly_Bnnr_fixed(n, 0))
+        for n in range(order + 1)
+    ))
 
     return VerificationReport(order, checks)

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hilbstrata"
 SHARED = {"digit_bits", "unpack", "chi_at_one"}
 CLOSED_FORM_INTERNALS = {"t_column", "gauss_at", "distinct_parts"}
 SUITE = ["_cauchy_cells", "grassmannian_cells", "convolution_cells",
-         "_times_factor", "census_column_cells", "series_cells", "_at", "_norm",
+         "_times_factor", "series_cells", "_at", "_norm",
          "_low", "_width", "verify_all"]
 ROUTE_NAMES = {"packed", "_div_one_minus", "_invert_nested"}
 

@@ -15,7 +15,6 @@ PUBLIC = [
     "StrataMatrix",
     "VerificationReport",
     "alpha",
-    "build_R",
     "chi_series",
     "closed_form_B",
     "closed_form_X",
@@ -53,12 +52,15 @@ REMOVED = [
     (QSeries, "shift_q"),
     (QSeries, "to_json"),
     (QSeries, "from_json"),
+    (QSeries, "__add__"),
     (qseries, "q_pochhammer"),
     (qseries, "series_Hnnr_rows"),
     (qseries, "_nested_rows"),
     (qseries, "euler_identity_check"),
     (qseries, "series_Y0_dual"),
     (qseries, "y0_dual_factors"),
+    (strata, "build_R"),
+    (strata, "census_column_cells"),
     (strata, "ginv_entry"),
     (strata, "lemma_identity_check"),
     (tables, "table_from_csv"),

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
-from hilbstrata import qseries, strata
+from hilbstrata import qseries
 from hilbstrata.cache import SeriesCache, decode_row, encode_row
 from hilbstrata.tables import build_table
 from hilbstrata.qseries import (
@@ -72,13 +72,6 @@ class TestSeriesArithmetic:
         f = series_H(8)
         g = series_H(5)
         assert (f * g).order == 5
-
-    def test_add_rejects_mismatched_orders(self):
-        with pytest.raises(ValueError, match=r"series orders differ \(5 \+ 3\)"):
-            series_H(5) + series_H(3)
-        with pytest.raises(ValueError):
-            series_H(3) + series_H(5)
-        assert (series_H(5) + QSeries(series_H(8).coeffs[:6])).order == 5
 
     def test_inv_geometric(self):
         f = QSeries.one(3).mul_one_minus(2, 1)  # 1 - t^2 q
@@ -241,8 +234,6 @@ class TestNamedSeries:
         assert calls == []
         assert series_Hnnr(3, 3).coeff(3) == ONE  # C(3, 2) = 3: still built
         assert calls
-        with pytest.raises(ValueError, match="r must be >= 1"):
-            series_Hnnr(0, 3)
 
     def test_hnnr_table_runs_one_running_product(self, monkeypatch):
         # series_H(20) once (20 steps), then one step per r: 20 + 6, where a
@@ -259,14 +250,14 @@ class TestNamedSeries:
             monkeypatch.setattr(QSeries, name, counted)
         build_table("hnnr", 20, max_r=6)
         assert len(calls) == 26
-        strata.build_R(6, 20)
+        for r in range(7):  # verify_all's rows R_0..R_6 at this order
+            series_Hnnr(r, 20)
         assert len(calls) == 26
 
     def test_shared_running_product_is_never_handed_out(self):
         # callers may corrupt a row in place; the next caller must not see it
         want_h, want_r1, want_r3 = series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9)
-        for row in (series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9),
-                    *strata.build_R(3, 9).rows.values()):
+        for row in (series_H(9), *(series_Hnnr(r, 9) for r in range(4))):
             row.coeffs[5] = row.coeffs[5] + ONE
         assert (series_H(9), series_Hnnr(1, 9), series_Hnnr(3, 9)) == (want_h, want_r1, want_r3)
         assert series_H(9) == product_factors(((d + 1, d, -1) for d in range(1, 10)), 9)
@@ -278,17 +269,22 @@ class TestNamedSeries:
                 build()
 
     def test_series_Hnnr_rows_agree_with_each_r(self):
-        # build_R's rows against q^C(r,2) * series_H / (tq)_r by Cauchy
+        # the rows R_0..R_5 against q^C(r,2) * series_H / (tq)_r by Cauchy
         # product, series inversion and slicing
-        rows = strata.build_R(5, 12).rows
-        assert list(rows) == [1, 2, 3, 4, 5]
-        for r, row in rows.items():
+        for r in range(6):
             unshifted = series_H(12) * product_factors(((d, d, 1) for d in range(1, r + 1)), 12).inv()
             want = QSeries([ZERO] * comb(r, 2) + unshifted.coeffs[: 13 - comb(r, 2)])
-            assert row == want, r
             assert series_Hnnr(r, 12) == want, r
-        with pytest.raises(ValueError, match="max_r must be >= 1"):
-            strata.build_R(0, 12)
+
+    def test_series_Hnnr_row_zero_is_series_H(self):
+        # H^[n, n] = H^[n]: q^C(0,2) = 1 and the product over d <= 0 is empty
+        for n in range(31):
+            want = product_factors(((d + 1, d, -1) for d in range(1, n + 1)), n)
+            assert series_Hnnr(0, n) == series_H(n) == want, n
+
+    def test_series_Hnnr_rejects_negative_r(self):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            series_Hnnr(-1, 5)
 
     def test_series_Hnnr_examples(self):
         assert series_Hnnr(2, 4).coeff(0) == ZERO

@@ -6,15 +6,14 @@ from math import comb
 import pytest
 
 from hilbstrata.diagrams import (
-    count_partitions_with_mu, e_poly_Hnnr_fixed, mu_max, partitions_of)
+    count_partitions_with_mu, e_poly_Bnnr_fixed, e_poly_Hnnr_fixed, mu_max, partitions_of)
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
 from hilbstrata import laurent, packed, qseries, strata
 from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0
 from hilbstrata.strata import (
     CheckResult,
+    StrataMatrix,
     VerificationReport,
-    build_R,
-    census_column_cells,
     chi_series,
     closed_form_B,
     closed_form_X,
@@ -53,6 +52,16 @@ def cauchy_coefficients(m):
     for i in range(m):
         coeffs = [a + LaurentPoly.t_power(i) * b for a, b in zip(coeffs + [ZERO], [ZERO] + coeffs)]
     return coeffs
+
+
+def nested_rows(top, order):
+    """R_0..R_top, the rows verify_all reads, each off series_Hnnr."""
+    return StrataMatrix({r: series_Hnnr(r, order) for r in range(top + 1)})
+
+
+def column_sum(family, n):
+    """sum_m family[m][n] in LaurentPoly arithmetic."""
+    return sum((family.get(m, n) for m in family.rows), ZERO)
 
 
 def q_shifted(s, k):
@@ -100,7 +109,8 @@ class TestMatrices:
         assert ai * a == QSeries.one(order)
 
     def test_R_known_entries(self):
-        r = build_R(3, 4)
+        r = nested_rows(3, 4)
+        assert r.get(0, 1) == P("t^2")  # R_0 = series_H
         assert r.get(2, 1) == ONE
         assert r.get(3, 2) == ZERO
         assert r.get(1, 1) == P("t^2+t")
@@ -108,20 +118,18 @@ class TestMatrices:
 
     def test_R_methods_agree(self):
         # the series rows against the fixed-point sums
-        r = build_R(4, 8)
-        for k in range(1, 5):
+        r = nested_rows(4, 8)
+        for k in range(5):
             for n in range(9):
                 assert r.get(k, n) == e_poly_Hnnr_fixed(n, k), (k, n)
 
     def test_R_rows_are_nested_series(self):
         # the running product against q^C(k,2) * series_H / (tq)_k formed
         # by Cauchy product and series inversion, no factor steps after
-        # series_H; series_Hnnr shares the running product
-        r = build_R(6, 20)
-        assert list(r.rows) == list(range(1, 7))
-        for k, row in r.rows.items():
-            want = q_shifted(series_H(20) * qseries.product_factors(((d, d, 1) for d in range(1, k + 1)), 20).inv(), comb(k, 2))
-            assert row == want, k
+        # series_H, which is the row k = 0
+        h = qseries.product_factors(((d + 1, d, -1) for d in range(1, 21)), 20)
+        for k in range(7):
+            want = q_shifted(h * qseries.product_factors(((d, d, 1) for d in range(1, k + 1)), 20).inv(), comb(k, 2))
             assert series_Hnnr(k, 20) == want, k
 
 
@@ -207,15 +215,14 @@ class TestGaussInversion:
     @staticmethod
     def ginv_sums(rows, order):
         top = mu_max(order)
-        return {m: sum((QSeries([c * ginv_entry(m, k) for c in rows[k].coeffs])
-                        for k in range(m, top + 1)),
-                       QSeries.zero(order))
+        return {m: QSeries([sum((rows[k].coeff(n) * ginv_entry(m, k) for k in range(m, top + 1)),
+                                ZERO) for n in range(order + 1)])
                 for m in range(1, top + 1)}
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6, 14, 30])
     def test_rows_are_ginv_weighted_sums(self, order):
         top = mu_max(order)
-        r = build_R(top, order).rows
+        r = {k: series_Hnnr(k, order) for k in range(1, top + 1)}
         dual = y0_dual(order)
         d = {k: row * dual for k, row in r.items()}
         assert compute_X(order).rows == self.ginv_sums(r, order)
@@ -464,12 +471,12 @@ class TestPackedKernel:
 
     def test_shared_decoding_fault_is_caught(self, monkeypatch):
         # unpack times t keeps every value at t = 1, so the guard passes and
-        # both routes agree; the LaurentPoly-only checks must still fail
+        # both routes agree; the checks that read no packed value must fail
         true_unpack = packed.unpack
         monkeypatch.setattr(packed, "unpack", lambda v, k_bits: true_unpack(v, k_bits).shift(1))
         report = verify_all(14)
         failed = {c.name for c in report.checks if not c.passed}
-        assert {"R == G.X (Grassmannian fibers)", "sum_m X[m][n] == E(H^[n])"} <= failed
+        assert {"R == G.X (Grassmannian fibers)", "sum_m B[m][n] == partition census"} <= failed
         assert "closed forms == matrix pipeline" not in failed
 
 
@@ -571,13 +578,24 @@ class TestVerifyAll:
         }
 
     def test_order_zero_trivially_passes(self):
+        # every check compares a cell: R == G.X and the fixed-point sums
+        # read the rows r = 0 and r = 1 at n = 0
         report = verify_all(0)
         assert report.passed
-        assert all(c.cells_compared > 0 for c in report.checks)
+        assert {c.name: c.cells_compared for c in report.checks} == {
+            "Cauchy q-binomial theorem": 36,
+            "y0 == X_1 (punctured plane)": 1,
+            "R == G.X (Grassmannian fibers)": 2,
+            "X == B.A (origin/punctured split)": 1,
+            "closed forms == matrix pipeline": 2,
+            "fixed-point sums == product series": 2,
+            "chi == fixed-point census": 1,
+            "sum_m B[m][n] == partition census": 1,
+        }
 
     def test_corrupted_entry_reports_coordinates(self):
         order = 6
-        r = build_R(mu_max(order), order)
+        r = nested_rows(mu_max(order), order)
         x = compute_X(order)
         x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + ONE  # corrupt X[2][3]
         bad = mismatches(grassmannian_cells(r, x))
@@ -610,7 +628,7 @@ class TestVerifyAll:
 
     def test_corrupted_R_reports_grassmannian_coordinates(self):
         order = 6
-        r = build_R(mu_max(order), order)
+        r = nested_rows(mu_max(order), order)
         x = compute_X(order)
         assert not mismatches(grassmannian_cells(r, x))
         r.rows[2].coeffs[4] = r.rows[2].coeffs[4] + P("t^3-t")  # corrupt R[2][4]
@@ -620,7 +638,7 @@ class TestVerifyAll:
         # t - 2^k is zero at t = 2^k: each check's K comes from its operands'
         # norms, which the corruption widens, so no K can hide it
         order = 6
-        r = build_R(mu_max(order), order)
+        r = nested_rows(mu_max(order), order)
         b = compute_B(order)
         for k in range(2, 65):
             x = compute_X(order)
@@ -632,7 +650,7 @@ class TestVerifyAll:
     def test_corruption_with_negative_exponents_is_reported(self):
         # the integer checks shift every operand to exponents >= 0 first
         order = 6
-        r = build_R(mu_max(order), order)
+        r = nested_rows(mu_max(order), order)
         x = compute_X(order)
         b = compute_B(order)
         x.rows[2].coeffs[3] = x.rows[2].coeffs[3] + P("t^-2-1")  # corrupt X[2][3]
@@ -686,14 +704,33 @@ class TestVerifyAll:
         monkeypatch.setattr(strata, "compute_B", corrupted)
         report = verify_all(6)
         check = next(c for c in report.checks
-                     if c.name == "sum_m B[m][n], sum_m X[m][n] == partition census")
-        assert check.failures == [[4, "B"]]
-        assert check.cells_compared == 2 * 7
+                     if c.name == "sum_m B[m][n] == partition census")
+        assert check.failures == [[4]]
+        assert check.cells_compared == 7
 
     def test_census_column_sums_hold_at_order_30(self):
+        # sum_{l |- n} t^{n -+ len(l)} for B and X (Ellingsrud-Stromme)
         x = compute_X(30)
         b = compute_B(30, x_matrix=x)
-        assert not mismatches(census_column_cells(x, b, 30))
+        h = series_H(30)
+        for n in range(31):
+            assert column_sum(b, n) == e_poly_Bnnr_fixed(n, 0), n
+            assert column_sum(x, n) == e_poly_Hnnr_fixed(n, 0) == h.coeff(n), n
+
+    def test_corrupted_row_zero_fails_at_its_cell(self, monkeypatch):
+        # R_0 = series_H is read by R == G.X and the fixed-point sums alone
+        true_hnnr = qseries.series_Hnnr
+
+        def corrupted(r, order):
+            s = true_hnnr(r, order)
+            if r == 0:
+                s.coeffs[5] = s.coeffs[5] + P("t^4-t")
+            return s
+
+        monkeypatch.setattr(qseries, "series_Hnnr", corrupted)
+        failed = {c.name: c.failures for c in verify_all(14).checks if not c.passed}
+        assert failed == {"R == G.X (Grassmannian fibers)": [[0, 5]],
+                          "fixed-point sums == product series": [[0, 5]]}
 
     def test_corrupted_series_Y0_fails_only_y0(self, monkeypatch):
         # X == B.A applies series_Y0's factors itself: only the y0 check reads it
@@ -726,7 +763,7 @@ class TestVerifyAll:
         check = next(c for c in report.checks
                      if c.name == "fixed-point sums == product series")
         assert check.passed
-        assert check.cells_compared == 50  # r <= 4, C(r, 2) <= n <= 14
+        assert check.cells_compared == 65  # r <= 4, C(r, 2) <= n <= 14
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 6, 8, 9, 14, 20])
     def test_fixed_point_check_compares_no_structural_zero_row(self, order, monkeypatch):
@@ -744,12 +781,12 @@ class TestVerifyAll:
         report = verify_all(order)
         check = next(c for c in report.checks
                      if c.name == "fixed-point sums == product series")
-        rows = {r for _, r in seen if r}
-        assert rows == set(range(1, min(mu_max(order), 4) + 1))
+        rows = {r for _, r in seen}
+        assert rows == set(range(min(mu_max(order), 4) + 1))
         assert all(comb(r, 2) <= n for n, r in seen)
         assert check.passed
         assert check.cells_compared == sum(order + 1 - comb(r, 2) for r in rows)
-        assert order or check.cells_compared == 1  # at order 0 only r = 1, n = 0
+        assert order or check.cells_compared == 2  # at order 0 only r = 0, 1 at n = 0
 
     @pytest.mark.parametrize("order, identity_order", [(0, 8), (8, 8), (10, 10), (14, 12), (48, 12)])
     def test_identity_checks_run_at_the_clamped_order(self, order, identity_order):
@@ -802,16 +839,14 @@ class TestErrorPaths:
             closed_form_B(0, 5)
         with pytest.raises(ValueError):
             chi_series(0, 5)
-        with pytest.raises(ValueError):
-            build_R(0, 5)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order must be >= 0"):
             closed_form_B(1, -1)
 
     @pytest.mark.parametrize("build", [
-        compute_X, compute_B, lambda order: build_R(2, order), verify_all,
-    ], ids=["compute_X", "compute_B", "build_R", "verify_all"])
+        compute_X, compute_B, lambda order: series_Hnnr(2, order), verify_all,
+    ], ids=["compute_X", "compute_B", "series_Hnnr", "verify_all"])
     def test_negative_order_names_the_order(self, build):
         # not mu_max's "n must be >= 0", which names no parameter of these
         with pytest.raises(ValueError, match="^order must be >= 0$"):

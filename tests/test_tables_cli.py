@@ -428,19 +428,22 @@ class TestCli:
         assert res.returncode == 0
         assert "all identities hold" in res.stdout
 
-    def test_verify_full_fixed_point_cells(self, capsys):
-        from hilbstrata.cli import main
-
-        assert main(["verify", "--level", "full"]) == 0
-        # r <= 4 and C(r, 2) <= n <= 14: no cell that is 0 == 0 by construction
-        assert "[ok  ] fixed-point sums == product series (50 cells)" in capsys.readouterr().out
-
-    def test_verify_full_census_column_sum_cells(self, capsys):
-        from hilbstrata.cli import main
-
-        assert main(["verify", "--level", "full"]) == 0
-        line = "[ok  ] sum_m B[m][n], sum_m X[m][n] == partition census (30 cells)"
-        assert line in capsys.readouterr().out  # B and X, n <= 14
+    def test_verify_full_report(self, capsys):
+        # every check and its cell count at order 14 (mu_max(14) = 5):
+        # Cauchy at size 12, R_0..R_5 against X, and the fixed-point sums
+        # over r <= 4 from n = C(r, 2) on, no cell 0 == 0 by construction
+        assert cli.main(["verify", "--level", "full"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[ok  ] Cauchy q-binomial theorem (78 cells)",
+            "[ok  ] y0 == X_1 (punctured plane) (15 cells)",
+            "[ok  ] R == G.X (Grassmannian fibers) (90 cells)",
+            "[ok  ] X == B.A (origin/punctured split) (75 cells)",
+            "[ok  ] closed forms == matrix pipeline (150 cells)",
+            "[ok  ] fixed-point sums == product series (65 cells)",
+            "[ok  ] chi == fixed-point census (75 cells)",
+            "[ok  ] sum_m B[m][n] == partition census (15 cells)",
+            "all identities hold at order 14",
+        ]
 
     def test_verify_rejects_max_r(self):
         # verify sizes its fixed-point check from the order; --max-r is a
@@ -496,6 +499,24 @@ class TestCli:
         res2 = run_cli("verify", "--max-n", "4", env=env)
         assert res2.returncode == 0
         assert "recomputing" in res2.stderr
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("argv", [["table", "bm"], ["verify"]], ids=["table", "verify"])
+    def test_unusable_cache_dir_is_a_usage_error(self, tmp_path, argv, via):
+        # a file where the directory should be: exit 2 and one error line
+        # naming the path, not the exit 1 of a mismatch with a traceback
+        path = tmp_path / "afile"
+        path.write_text("")
+        if via == "flag":
+            res = run_cli(*argv, "--cache-dir", str(path))
+        else:
+            res = run_cli(*argv, env=dict(os.environ, HILBSTRATA_CACHE_DIR=str(path)))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.splitlines()[-1] == (
+            f"hilbstrata: error: cannot use the cache directory {path}: File exists")
+        assert path.read_text() == ""
 
     def test_verify_screens_every_cached_table_kind(self, tmp_path, capsys):
         from hilbstrata.cli import main
