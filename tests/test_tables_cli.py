@@ -428,6 +428,17 @@ class TestCli:
         assert res.returncode == 0
         assert "all identities hold" in res.stdout
 
+    def test_verify_full_fixed_point_cells(self, capsys):
+        assert cli.main(["verify", "--level", "full"]) == 0
+        # 0 <= r <= 4 and C(r, 2) <= n <= 14: no cell that is 0 == 0 by construction
+        assert "[ok  ] fixed-point sums == product series (65 cells)" in capsys.readouterr().out
+
+    def test_verify_full_census_column_sum_cells(self, capsys):
+        assert cli.main(["verify", "--level", "full"]) == 0
+        # B only, n <= 14: X's column sums are row r = 0 of "R == G.X"
+        line = "[ok  ] sum_m B[m][n] == partition census (15 cells)"
+        assert line in capsys.readouterr().out
+
     def test_verify_full_report(self, capsys):
         # every check and its cell count at order 14 (mu_max(14) = 5):
         # Cauchy at size 12, R_0..R_5 against X, and the fixed-point sums
