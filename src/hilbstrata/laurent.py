@@ -44,16 +44,16 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls({0: 1})
+        return _raw({0: 1})
 
     @classmethod
     def const(cls, c: int) -> LaurentPoly:
-        return cls({0: c})
+        return _raw({0: c} if c else {})
 
     @classmethod
     def t_power(cls, exp: int, coeff: int = 1) -> LaurentPoly:
         """The monomial coeff * t^exp."""
-        return cls({exp: coeff})
+        return _raw({exp: coeff} if coeff else {})
 
     # -- inspection ----------------------------------------------------
 
@@ -210,35 +210,33 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         """Canonical string, descending degree: "t^4+2*t^3-t"."""
-        return self._render(mul="*", brace=False)
+        return self._render(_CSV_TAILS)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
     def latex(self) -> str:
         """LaTeX-style cell, e.g. "t^4+2 t^3-t" with braces on long exponents."""
-        return self._render(mul=" ", brace=True)
+        return self._render(_LATEX_TAILS)
 
-    def _render(self, mul: str, brace: bool) -> str:
+    def _render(self, tails: _Tails) -> str:
+        """Descending degree, each term's sign from its int; one leading "+" dropped."""
         if not self._terms:
             return "0"
         parts: list[str] = []
         for e in sorted(self._terms, reverse=True):
             c = self._terms[e]
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
+            tail, unit = tails[e]
+            if c == 1:
+                parts.append("+" + unit)
+            elif c == -1:
+                parts.append("-" + unit)
+            elif c > 0:
+                parts.append(f"+{c}{tail}")
             else:
-                if brace and (e >= 10 or e < 0):
-                    var = "t^{%d}" % e
-                elif e == 1:
-                    var = "t"
-                else:
-                    var = f"t^{e}"
-                body = var if mag == 1 else f"{mag}{mul}{var}"
-            parts.append(sign + body)
-        return "".join(parts)
+                parts.append(f"{c}{tail}")
+        text = "".join(parts)
+        return text[1:] if text[0] == "+" else text
 
     @classmethod
     def from_string(cls, text: str) -> LaurentPoly:
@@ -267,6 +265,28 @@ def _raw(terms: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
     return p
+
+
+class _Tails(dict):
+    """One rendering style's memo e -> (tail, unit), filled on demand: tail
+    is mul + var ("" at e = 0) and unit is var ("1" at e = 0)."""
+
+    def __init__(self, mul: str, brace: bool):
+        super().__init__()
+        self.mul, self.brace = mul, brace
+
+    def __missing__(self, e: int) -> tuple[str, str]:
+        if self.brace and (e >= 10 or e < 0):
+            var = "t^{%d}" % e
+        else:
+            var = "t" if e == 1 else f"t^{e}"
+        entry = self[e] = ("", "1") if e == 0 else (self.mul + var, var)
+        return entry
+
+
+# CSV style "2*t^3"; LaTeX style "2 t^3", braced when e >= 10 or e < 0
+_CSV_TAILS = _Tails("*", brace=False)
+_LATEX_TAILS = _Tails(" ", brace=True)
 
 
 def _coerce(value: LaurentPoly | int) -> LaurentPoly:

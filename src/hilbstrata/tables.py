@@ -13,8 +13,9 @@ labelled columns.  Five kinds are built:
 
 render(table, fmt) emits one of FORMATS: LaTeX (publication-style cells
 such as "t^4+2 t^3-t"), CSV (canonical cells such as "t^4+2*t^3-t") or
-JSON (exact term lists).  CSV and JSON cells re-parse to the same
-polynomials, through LaurentPoly.from_string and LaurentPoly.from_json.
+JSON (exact term lists, each row written as text in json.dumps's default
+layout).  CSV and JSON cells re-parse to the same polynomials, through
+LaurentPoly.from_string and LaurentPoly.from_json.
 """
 
 from __future__ import annotations
@@ -136,10 +137,14 @@ def render_csv(table: Table) -> str:
 
 def render_json(table: Table) -> str:
     """One JSON document: kind, rows and cols on the first line, then one
-    line per table row of cells."""
+    line per table row of cells, written as json.dumps writes [p.to_json() for p in row]."""
     head = json.dumps({"kind": table.kind, "rows": table.rows, "cols": table.col_labels})
-    body = ",\n".join(json.dumps([p.to_json() for p in row]) for row in table.cells)
+    body = ",\n".join("[%s]" % ", ".join(map(_json_cell, row)) for row in table.cells)
     return f'{head[:-1]}, "cells": [\n{body}]}}\n'
+
+
+def _json_cell(p: LaurentPoly) -> str:
+    return '{"terms": [%s]}' % ", ".join([f'[{e}, "{c}"]' for e, c in p.items()])
 
 
 def render(table: Table, fmt: str) -> str:

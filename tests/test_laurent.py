@@ -6,7 +6,7 @@ from itertools import product as iproduct
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbstrata import laurent
@@ -17,6 +17,8 @@ from hilbstrata.laurent import (
     LaurentPoly,
     gauss_binomial,
 )
+
+import render_oracle
 
 P = LaurentPoly.from_string
 
@@ -41,6 +43,15 @@ def box_partition_poly(a, width):
 
 laurent_polys = st.dictionaries(
     st.integers(-8, 8), st.integers(-9, 9), max_size=8
+).map(LaurentPoly)
+
+# wider than laurent_polys: braced LaTeX exponents of both signs, unit and
+# non-unit coefficients of both signs, and coefficients past 2^64
+wide_polys = st.dictionaries(
+    st.integers(-30, 30),
+    st.one_of(st.sampled_from([1, -1, 2, -2]), st.integers(-99, 99),
+              st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64))),
+    max_size=12,
 ).map(LaurentPoly)
 
 
@@ -233,6 +244,22 @@ class TestSerialization:
     def test_big_coefficients_round_trip(self):
         p = LaurentPoly({0: 10**40, -5: -(2**80)})
         assert LaurentPoly.from_json(p.to_json()) == p
+
+    @given(wide_polys)
+    @example(ZERO)
+    def test_rendering_matches_the_term_by_term_oracle(self, p):
+        assert str(p) == render_oracle.render(p, "*", False)
+        assert p.latex() == render_oracle.render(p, " ", True)
+        if not p:
+            assert str(p) == p.latex() == "0"
+
+    def test_constructors_store_no_zero_coefficient(self):
+        assert LaurentPoly.const(0) == ZERO
+        assert hash(LaurentPoly.const(0)) == hash(0)
+        assert LaurentPoly.t_power(3, 0) == ZERO
+        assert LaurentPoly.one() == ONE == 1
+        assert LaurentPoly.const(-4) == LaurentPoly({0: -4})
+        assert LaurentPoly.t_power(-2, 5) == LaurentPoly({-2: 5})
 
     def test_constant_hash_matches_int(self):
         assert LaurentPoly.const(7) == 7

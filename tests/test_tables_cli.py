@@ -1,6 +1,7 @@
 """Table assembly, rendering round trips, the series cache and the CLI."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from hilbstrata.tables import (
     render_latex,
 )
 
+import render_oracle
 from reference_data import B_TABLE, CHI_TABLE, Y0_TABLE
 
 P = LaurentPoly.from_string
@@ -153,6 +155,71 @@ class TestRenderers:
     def test_output_is_deterministic(self):
         assert (render_csv(build_table("bm", max_n=9, max_m=3))
                 == render_csv(build_table("bm", max_n=9, max_m=3)))
+
+    @pytest.mark.parametrize("n", [0, 1, 14])
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_json_text_equals_json_dumps_of_to_json(self, kind, n):
+        table = build_table(kind, max_n=n)
+        assert render_json(table) == render_oracle.render_json(table)
+
+    @pytest.mark.parametrize("n", [0, 14, 48])
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_rendered_tables_match_pinned_digests(self, kind, n):
+        table = build_table(kind, max_n=n)
+        got = {fmt: hashlib.sha256(render(table, fmt).encode()).hexdigest() for fmt in FORMATS}
+        assert got == {fmt: RENDER_DIGESTS[kind, n, fmt] for fmt in FORMATS}
+
+
+# (kind, max_n, format) -> SHA-256 of render(build_table(kind, max_n), format),
+# pinned from the term-by-term renderers (render_oracle) before the per-style
+# tail memos and the text-written JSON rows replaced them
+RENDER_DIGESTS = {
+    ("bm", 0, "json"): "2325380df40b33088b75c7172a58dd3d70c017af1efff23b395bcd218b1a1bd6",
+    ("bm", 0, "csv"): "0a5db4ab54e6d669710abbf43b4bc5120783ace46669408c5f83afa9d8d945ec",
+    ("bm", 0, "latex"): "1d7ccbadabfd7a1c13fe15ad0d4c16d6a04a1b047061138b9de23b3530e31327",
+    ("hm", 0, "json"): "f7660b6b27af4ce442a01961ebe7c3be58a69e97db303d57cfdebcf086461a08",
+    ("hm", 0, "csv"): "0a5db4ab54e6d669710abbf43b4bc5120783ace46669408c5f83afa9d8d945ec",
+    ("hm", 0, "latex"): "1d7ccbadabfd7a1c13fe15ad0d4c16d6a04a1b047061138b9de23b3530e31327",
+    ("chi", 0, "json"): "55a10d2081b2b201e95e6f7d913cf0118da31afc6ebd1b8af7e05ed806aca88f",
+    ("chi", 0, "csv"): "0a5db4ab54e6d669710abbf43b4bc5120783ace46669408c5f83afa9d8d945ec",
+    ("chi", 0, "latex"): "1d7ccbadabfd7a1c13fe15ad0d4c16d6a04a1b047061138b9de23b3530e31327",
+    ("y0", 0, "json"): "10ab10975ec69c3b5e5896896cc6f2a0a0441eba04d3dd969772ef499dfc22ef",
+    ("y0", 0, "csv"): "36be53ba0b90aa021e673a8aa3df95bc433a464695ea78a99d1fd31911fd4609",
+    ("y0", 0, "latex"): "7b927cc52c4c060d3b474b41e452aeeac800d67215f96616c08ccf2dd248eae5",
+    ("hnnr", 0, "json"): "ef4629c3922c95d6df6237d8f28205cf4c20a6b6948f0c1d8b4cd60c876fa0ce",
+    ("hnnr", 0, "csv"): "24df5cb3e2bcc00195d0eab16deb876eb3cc61d26f03c649510e89c7f8407c65",
+    ("hnnr", 0, "latex"): "d618395457801800afc15cf8d80b4f21bdbcbf0d5837f66f0fd3012bf6ac9e72",
+    ("bm", 14, "json"): "234216d1df53756606edd0b68adccfbe41a3a958e47fed7b71c4066ce6d3cf28",
+    ("bm", 14, "csv"): "dbad54bb15a271d9c77947c471acf4fb32c1fb283bf210cc44e3878eacdbc82d",
+    ("bm", 14, "latex"): "208e7097b09fe18575666d067c82546d03b5317bfe1179e0f5ee0ea6f2994c4c",
+    ("hm", 14, "json"): "899569d68f2bbe560798bc2eb0703a278f4c17219c481236cf03d728cd5bc29b",
+    ("hm", 14, "csv"): "b2d39351c7ba37ffd9f704095deb65fa51c1ee839dfd2ed337e69e28ab35ac73",
+    ("hm", 14, "latex"): "2bb83adeb76602f5690952b8cc138a9937358fbbe7c7d49d7c5ff9705ce07b98",
+    ("chi", 14, "json"): "49bc156c20ef47fbff3a06e68ef8983f0237ae462cbaf9b4516ca80950f817a5",
+    ("chi", 14, "csv"): "eb42724894cdad64ead4bfe371be52ad7185fb94dd6be6deb9880916b26f7b48",
+    ("chi", 14, "latex"): "c2cef9bc21d5836d3c3cad41637b0477ff05cf52053e382c94394f0fc9ee1e67",
+    ("y0", 14, "json"): "b2b6a3a3fb55ef8578e62ed371fb416e20d45d61fe7c06835363351fd5d08490",
+    ("y0", 14, "csv"): "a535ae52f913a8bd635ae5858af57819cf5167210bda8faea80068fd8e311d47",
+    ("y0", 14, "latex"): "21e6fa820e422f34e012f32a52bb582202ca1e9abf985061eef5d7fec9721b72",
+    ("hnnr", 14, "json"): "6bbfaff9d9b2775f5be814487627ad66481f491afccc99538cdc1de5192e2055",
+    ("hnnr", 14, "csv"): "bb59a2255f01084ff95051da8dd798817eab9280c6804a22ac3668dd1287849b",
+    ("hnnr", 14, "latex"): "bef3f9e70ca1e56a9a6e2dfde2fe0389609afb8dbfcea7ea012e39987b7bed2a",
+    ("bm", 48, "json"): "0e63a86320ef593b01b0057f7be6456518880fe1971c2a803686f07baf6df63a",
+    ("bm", 48, "csv"): "d3ba959f8f18155e46322459ca93409976f7a02720d1b69d2265a9b4e5625a3d",
+    ("bm", 48, "latex"): "224d2a776d7169fa331af2fd1f389d86cb643ed1591fc7059eccf99b716ec952",
+    ("hm", 48, "json"): "b6e2bd5d67d0f1950b8a46a2902290429a787ea1a10f11a84adb565cd22d8e53",
+    ("hm", 48, "csv"): "5c3d7a35d33c121c848a83b08e75e32b112e138bb7bbb65d752d117caff696c1",
+    ("hm", 48, "latex"): "2f9bc7190ff2834e5a06546f9ca377949044b44991b4d33dff6e50d4818b20e9",
+    ("chi", 48, "json"): "6446d5b78c7fb0abf8270f724ea85bd26965ac27fd29e7ca18178298c802a244",
+    ("chi", 48, "csv"): "3c42b8e565db73234644439dd6da394037c082cd8ccb9115a72d95f1189b5634",
+    ("chi", 48, "latex"): "1f056d178fa643406bf7cac26a52457bf189f1c24a77d022199dabfd4da3e065",
+    ("y0", 48, "json"): "75aa4d7f37d5fb6ecb503cb74738407cb477a591ef0cd49ba1c0dfc7e0122511",
+    ("y0", 48, "csv"): "0243780d413dc974ddb69945c140561b85787ecf2891cb953f70111923801db6",
+    ("y0", 48, "latex"): "78db800f00d0b588d686f3fb486af6783a0afdc679fa543dc32a28704f5bfe5a",
+    ("hnnr", 48, "json"): "13245f34a17c7e485133cd81c2f70bd2bc5b1a17b885ad2bf669a8baba57278b",
+    ("hnnr", 48, "csv"): "c5968c442c658b8dbf2a9c9142254f0614f586f3dad916fc3a0843cd5185aeb6",
+    ("hnnr", 48, "latex"): "3227a6cec5d1cff0cf662936825b707827ae6132c0f8405943e6905cc7a7ff80",
+}
 
 
 def y0_columns(order):
