@@ -4,10 +4,11 @@
                    [--format {latex,csv,json}] [--cache-dir DIR]
   hilbstrata verify [--level {fast,full} | --max-n N] [--cache-dir DIR]
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error (an
-unusable cache directory among them).  The cache directory defaults to
-$HILBSTRATA_CACHE_DIR, read on each call of main, when set.  The parser
-is built once, at import, and every call of main parses with it.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error (a cache
+directory that cannot be created or written among them).  The cache
+directory defaults to $HILBSTRATA_CACHE_DIR, read on each call of main,
+when set.  The parser is built once, at import, and every call of main
+parses with it.
 """
 
 from __future__ import annotations
@@ -53,11 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _cache_error(directory, exc: OSError, parser):
+    parser.error(f"cannot use the cache directory {directory}: {exc.strerror or exc}")
+
+
 def _open_cache(directory, parser) -> SeriesCache | None:
     try:
         return SeriesCache(directory) if directory else None
     except OSError as exc:
-        parser.error(f"cannot use the cache directory {directory}: {exc.strerror or exc}")
+        _cache_error(directory, exc, parser)
 
 
 def cmd_table(args, parser) -> int:
@@ -66,7 +71,12 @@ def cmd_table(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     cache = _open_cache(args.cache_dir, parser)
-    table = build_table(args.kind, args.max_n, args.max_m, args.max_r, cache)
+    try:  # a cached build writes its entry; a failed write is a usage error
+        table = build_table(args.kind, args.max_n, args.max_m, args.max_r, cache)
+    except OSError as exc:
+        if cache is None:
+            raise
+        _cache_error(args.cache_dir, exc, parser)
     sys.stdout.write(render(table, args.fmt))
     return 0
 
@@ -79,8 +89,11 @@ def cmd_verify(args, parser) -> int:
     if cache is not None:
         # screen the cached entry of every default table at this order;
         # the cache logs its own repairs
-        for kind in TABLE_KINDS:
-            build_table(kind, order, cache=cache)
+        try:
+            for kind in TABLE_KINDS:
+                build_table(kind, order, cache=cache)
+        except OSError as exc:
+            _cache_error(args.cache_dir, exc, parser)
     report = strata.verify_all(order)
     if report.passed:
         print(report)

@@ -241,14 +241,16 @@ class LaurentPoly:
     @classmethod
     def from_string(cls, text: str) -> LaurentPoly:
         """Parse the canonical rendering (both "2*t^3" and "2 t^3" accepted);
-        every term after the first needs its sign, so "1 2" and "t2" raise."""
-        s = text.strip().replace("{", "").replace("}", "")
+        every term after the first needs its sign, so "1 2" and "t2" raise.
+        Braces are read only around an exponent, as in "t^{10}"."""
+        s = text.strip()
         if not s:
             raise ValueError("empty polynomial string")
-        tokens = _TERM_RE.findall(s)
-        if "".join(tokens) != s or any(tok[0] not in "+-" for tok in tokens[1:]):
+        terms = list(_TERM_RE.finditer(s))
+        if "".join(m[0] for m in terms) != s or not all(m["sign"] for m in terms[1:]):
             raise ValueError(f"cannot parse polynomial string {text!r}")
-        return cls(_parse_term(tok) for tok in tokens)
+        return cls((0 if m["const"] else int(m["exp"] or m["braced"] or 1),
+                    int(m["sign"] + (m["coeff"] or m["const"] or "1"))) for m in terms)
 
     # -- serialization ----------------------------------------------------
 
@@ -258,7 +260,14 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> LaurentPoly:
-        return cls((int(e), int(c)) for e, c in obj["terms"])
+        """Read to_json's terms: int exponents, and int or decimal-string
+        coefficients; any other term raises ValueError."""
+        terms = obj["terms"]
+        if not all(isinstance(t, (list, tuple)) and len(t) == 2 and type(t[0]) is int
+                   and (type(t[1]) is int or isinstance(t[1], str) and _DECIMAL_RE.fullmatch(t[1]))
+                   for t in terms):
+            raise ValueError(f"malformed JSON polynomial terms {terms!r}")
+        return cls((e, int(c)) for e, c in terms)
 
 
 def _raw(terms: dict[int, int]) -> LaurentPoly:
@@ -297,26 +306,12 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to LaurentPoly")
 
 
-# one monomial: optional sign, optional coefficient ("2*" or "2 "), optional t[^exp]
-_TERM_RE = re.compile(r"[+-]?(?:\d+[* ]?)?t(?:\^-?\d+)?|[+-]?\d+")
-
-
-def _parse_term(chunk: str) -> tuple[int, int]:
-    neg = chunk.startswith("-")
-    if neg or chunk.startswith("+"):
-        chunk = chunk[1:]
-    if "t" not in chunk:
-        return (0, -int(chunk) if neg else int(chunk))
-    head, _, tail = chunk.partition("t")
-    head = head.rstrip("* ")
-    coeff = int(head) if head else 1
-    if tail == "":
-        exp = 1
-    elif tail.startswith("^"):
-        exp = int(tail[1:])
-    else:
-        raise ValueError(f"cannot parse term {chunk!r}")
-    return (exp, -coeff if neg else coeff)
+# one term: a sign, then a coefficient ("2*" or "2 ") or none and t with a
+# bare or braced exponent or none, or else a constant
+_TERM_RE = re.compile(r"(?P<sign>[+-]?)(?:(?:(?P<coeff>\d+)[* ]?)?t"
+                      r"(?:\^(?P<exp>-?\d+)|\^\{(?P<braced>-?\d+)\})?|(?P<const>\d+))")
+# a JSON coefficient string, as to_json writes it
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
 ZERO = LaurentPoly.zero()

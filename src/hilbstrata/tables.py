@@ -14,8 +14,8 @@ labelled columns.  Five kinds are built:
 render(table, fmt) emits one of FORMATS: LaTeX (publication-style cells
 such as "t^4+2 t^3-t"), CSV (canonical cells such as "t^4+2*t^3-t") or
 JSON (exact term lists, each row written as text in json.dumps's default
-layout).  CSV and JSON cells re-parse to the same polynomials, through
-LaurentPoly.from_string and LaurentPoly.from_json.
+layout).  CSV and LaTeX cells re-parse to the same polynomials through
+LaurentPoly.from_string, and JSON cells through LaurentPoly.from_json.
 """
 
 from __future__ import annotations

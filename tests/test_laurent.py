@@ -18,6 +18,7 @@ from hilbstrata.laurent import (
     gauss_binomial,
 )
 
+import parse_oracle
 import render_oracle
 
 P = LaurentPoly.from_string
@@ -235,11 +236,39 @@ class TestSerialization:
         assert str(P("-t^-2+3")) == "3-t^-2"
         assert P("t^10+t^-1").latex() == "t^{10}+t^{-1}"
 
-    @pytest.mark.parametrize("text", ["1 2", "t2", "t 2", "2t^2 3t", "t^1 0", "2 * t"])
+    @pytest.mark.parametrize("text", ["1 2", "t2", "t 2", "2t^2 3t", "t^1 0", "2 * t",
+                                      "t^{1}2", "t^1{0}", "{2}t", "}t{", "{t}^3", "2*{t}"])
     def test_malformed_strings_raise(self, text):
-        # each once parsed silently, as 12, t+2, t+2, 2t^23+t, t^10 and 2t
+        # each once parsed silently, as 12, t+2, t+2, 2t^23+t, t^10, 2t,
+        # t^12, t^10, 2t, t, t^3 and 2t
         with pytest.raises(ValueError, match="cannot parse"):
             LaurentPoly.from_string(text)
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_empty_string_raises(self, text):
+        with pytest.raises(ValueError, match="empty polynomial string"):
+            LaurentPoly.from_string(text)
+
+    @given(st.text(alphabet="0123456789t^*+- ", max_size=12))
+    @example("2 t^3-t+7")
+    @example("t^-0-0")
+    def test_brace_free_strings_parse_as_the_oracle_did(self, text):
+        try:
+            want = parse_oracle.from_string(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                LaurentPoly.from_string(text)
+        else:
+            assert LaurentPoly.from_string(text) == want
+
+    @pytest.mark.parametrize("terms", [[[1.5, "2"]], [[1, 2.7]], [[True, "3"]], [[1, "1_0"]]])
+    def test_malformed_json_terms_raise(self, terms):
+        # each once read silently, as 2t, 2t, 3t and 10t
+        with pytest.raises(ValueError, match="malformed JSON"):
+            LaurentPoly.from_json({"terms": terms})
+
+    def test_json_reads_int_and_string_coefficients(self):
+        assert LaurentPoly.from_json({"terms": [[1, "-20"], [0, 3]]}) == P("-20*t+3")
 
     def test_big_coefficients_round_trip(self):
         p = LaurentPoly({0: 10**40, -5: -(2**80)})

@@ -1,6 +1,7 @@
 """Table assembly, rendering round trips, the series cache and the CLI."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -38,6 +39,15 @@ P = LaurentPoly.from_string
 def table_from_csv(text, kind=""):
     """The Table a CSV rendering describes, its cells re-parsed."""
     header, *records = csv.reader(io.StringIO(text))
+    cells = [[P(cell) for cell in rec[1:]] for rec in records]
+    return Table(kind, [int(rec[0]) for rec in records], header[1:], cells)
+
+
+def table_from_latex(text, kind=""):
+    """The Table a LaTeX rendering describes, its cells re-parsed: one row
+    per line between the tabular header and footer, "$"s stripped."""
+    header, *records = [[c.strip().strip("$") for c in ln.removesuffix(r"\\\hline").split(" & ")]
+                        for ln in text.strip().splitlines()[1:-1]]
     cells = [[P(cell) for cell in rec[1:]] for rec in records]
     return Table(kind, [int(rec[0]) for rec in records], header[1:], cells)
 
@@ -161,6 +171,16 @@ class TestRenderers:
     def test_json_text_equals_json_dumps_of_to_json(self, kind, n):
         table = build_table(kind, max_n=n)
         assert render_json(table) == render_oracle.render_json(table)
+
+    @pytest.mark.parametrize("n", [0, 14, 48])
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    @pytest.mark.parametrize("fmt, parse", [("csv", table_from_csv), ("latex", table_from_latex)],
+                             ids=["csv", "latex"])
+    def test_every_text_cell_re_parses(self, fmt, parse, kind, n):
+        table = build_table(kind, max_n=n)
+        back = parse(render(table, fmt), kind)
+        assert (back.rows, back.col_labels) == (table.rows, table.col_labels)
+        assert back.cells == table.cells
 
     @pytest.mark.parametrize("n", [0, 14, 48])
     @pytest.mark.parametrize("kind", TABLE_KINDS)
@@ -626,6 +646,24 @@ class TestInProcessCli:
         assert cli.main(["table", "y0", "--max-n", "3", "--format", "csv"]) == 0
         assert cli.main(["table", "bm", "--max-n", "3", "--format", "csv"]) == 0
         assert "\nn,m=1,m=2,m=3\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["table", "bm"], ["verify"]], ids=["table", "verify"])
+    def test_failed_cache_write_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # the directory opens, then writing an entry fails: exit 2 and one
+        # error line naming the directory, not an exit 1 with a traceback
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), dst)
+
+        monkeypatch.setattr("hilbstrata.cache.os.replace", refuse)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"hilbstrata: error: cannot use the cache directory {tmp_path}: "
+            f"{os.strerror(errno.EACCES)}")
+        assert list(tmp_path.iterdir()) == []  # the temp file is gone too
 
     def test_cache_dir_env_read_per_call(self, tmp_path, monkeypatch, capsys):
         # set after hilbstrata.cli was imported, then unset again
