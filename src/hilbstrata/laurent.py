@@ -3,7 +3,9 @@
 A polynomial is a map {exponent: coefficient} with integer (arbitrary
 precision) coefficients and integer exponents of either sign.  Zero
 coefficients are never stored, so two values are equal iff their term
-maps are equal, and the zero polynomial is the empty map.
+maps are equal, and the zero polynomial is the empty map.  One loop,
+add_shifted (self + c * t^k * other for any int c), combines two term
+maps: +, -, *, exact division and the q-series factor steps run on it.
 
 This is the universal value type of the package: E-polynomials, their
 duals, Gaussian binomials and every strata/series coefficient are
@@ -81,19 +83,7 @@ class LaurentPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        other = _coerce(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
+        return self.add_shifted(_coerce(other), 0)
 
     __radd__ = __add__
 
@@ -101,34 +91,24 @@ class LaurentPoly:
         return _raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        return self + (-_coerce(other))
+        return self.add_shifted(_coerce(other), 0, -1)
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
+        """The sum of c * t^e * (longer operand) over the shorter one's terms."""
         other = _coerce(other)
-        if not self._terms or not other._terms:
-            return LaurentPoly()
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                k = e1 + e2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return _raw(out)
+        short, long = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        out = ZERO
+        for e, c in short._terms.items():
+            out = out.add_shifted(long, e, c)
+        return out
 
     __rmul__ = __mul__
 
     def add_shifted(self, other: LaurentPoly, k: int, sign: int = 1) -> LaurentPoly:
-        """self + sign * t^k * other, fused into one pass over other's terms.
-
-        The q-series factor steps run on this: it builds one term map where
-        the unfused form builds three (the shift, the sign, the sum).
-        """
+        """self + sign * t^k * other, for any int sign: the package's one
+        loop that combines two term maps.  +, -, * and exact_div run on it,
+        and so do the q-series factor steps, where it builds one term map
+        instead of three (the shift, the sign, the sum)."""
         if not other._terms or not sign:
             return self
         out = dict(self._terms)
@@ -164,28 +144,19 @@ class LaurentPoly:
             return LaurentPoly()
         dtop = divisor.degree()
         dlead = divisor._terms[dtop]
-        rem = dict(self._terms)
+        rem = self
         quo: dict[int, int] = {}
         # Quotient valuation is fixed by the two valuations; anything below
         # it in the remainder can never be cancelled, so stop early there.
         floor_exp = min(self._terms) - min(divisor._terms) + dtop
         while rem:
-            top = max(rem)
-            if top < floor_exp:
-                raise InexactDivisionError(f"{self} is not divisible by {divisor}")
-            lead = rem[top]
-            if lead % dlead:
+            top = rem.degree()
+            lead = rem._terms[top]
+            if top < floor_exp or lead % dlead:
                 raise InexactDivisionError(f"{self} is not divisible by {divisor}")
             c = lead // dlead
-            shift = top - dtop
-            quo[shift] = c
-            for e, dc in divisor._terms.items():
-                k = e + shift
-                s = rem.get(k, 0) - c * dc
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
+            quo[top - dtop] = c
+            rem = rem.add_shifted(divisor, top - dtop, -c)
         return _raw(quo)
 
     # -- comparison / hashing -------------------------------------------
@@ -309,7 +280,8 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
 # one term: a sign, then a coefficient ("2*" or "2 ") or none and t with a
 # bare or braced exponent or none, or else a constant
 _TERM_RE = re.compile(r"(?P<sign>[+-]?)(?:(?:(?P<coeff>\d+)[* ]?)?t"
-                      r"(?:\^(?P<exp>-?\d+)|\^\{(?P<braced>-?\d+)\})?|(?P<const>\d+))")
+                      r"(?:\^(?P<exp>-?\d+)|\^\{(?P<braced>-?\d+)\})?|(?P<const>\d+))",
+                      re.ASCII)
 # a JSON coefficient string, as to_json writes it
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 

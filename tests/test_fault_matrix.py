@@ -63,15 +63,20 @@ def factor_step(name, q_exp, n, extra, t_exp=None):
     return perturb
 
 
-def add_shifted(mp):
-    """Add t^6 - t^2 to every shift by t^3 whose result has more than 3 terms."""
-    true_add_shifted = LaurentPoly.add_shifted
+def add_shifted(shift):
+    """Add t^6 - t^2 to every shift by t^shift whose result has more than 3
+    terms; the sum runs on the true add_shifted, since + runs on it too."""
+    def perturb(mp):
+        true_add_shifted = LaurentPoly.add_shifted
 
-    def perturbed(self, other, k, sign=1):
-        out = true_add_shifted(self, other, k, sign)
-        return out + P("t^6-t^2") if k == 3 and len(list(out.items())) > 3 else out
+        def perturbed(self, other, k, sign=1):
+            out = true_add_shifted(self, other, k, sign)
+            if k == shift and len(list(out.items())) > 3:
+                out = true_add_shifted(out, P("t^6-t^2"), 0)
+            return out
 
-    mp.setattr(LaurentPoly, "add_shifted", perturbed)
+        mp.setattr(LaurentPoly, "add_shifted", perturbed)
+    return perturb
 
 
 def q_pascal_row(mp):
@@ -170,8 +175,10 @@ CASES = [
     ("QSeries.div_one_minus running product",
      factor_step("div_one_minus", 3, 6, "t^4-t", t_exp=3), {R_GX, FIXED_POINTS}),
     ("QSeries.mul_one_minus", factor_step("mul_one_minus", 2, 5, "t^4-t"), {Y0}),
-    ("LaurentPoly.add_shifted", add_shifted,
+    ("LaurentPoly.add_shifted", add_shifted(3),
      {CAUCHY, Y0, R_GX, FIXED_POINTS}),
+    # k = 0 is the shift + and - pass; only the column sums add polynomials
+    ("LaurentPoly.add_shifted at k = 0", add_shifted(0), {B_CENSUS}),
     ("laurent._q_pascal_row", q_pascal_row, {CAUCHY, R_GX}),
     ("strata._div_one_minus", packed_div_one_minus,
      {Y0, R_GX, X_BA, CLOSED_FORMS, B_CENSUS}),
