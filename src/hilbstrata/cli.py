@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import strata
 from .cache import SeriesCache
@@ -54,15 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _cache_error(directory, exc: OSError, parser):
-    parser.error(f"cannot use the cache directory {directory}: {exc.strerror or exc}")
-
-
-def _open_cache(directory, parser) -> SeriesCache | None:
+@contextmanager
+def _cache(directory, parser):
+    """The cache at directory (None without one) for the block; with one, an OSError
+    from opening it or in the block (a cached build's write) is a usage error."""
+    if not directory:
+        yield None
+        return
     try:
-        return SeriesCache(directory) if directory else None
+        yield SeriesCache(directory)
     except OSError as exc:
-        _cache_error(directory, exc, parser)
+        parser.error(f"cannot use the cache directory {directory}: {exc.strerror or exc}")
 
 
 def cmd_table(args, parser) -> int:
@@ -70,13 +73,8 @@ def cmd_table(args, parser) -> int:
         check_bounds(args.kind, args.max_n, args.max_m, args.max_r)
     except ValueError as exc:
         parser.error(str(exc))
-    cache = _open_cache(args.cache_dir, parser)
-    try:  # a cached build writes its entry; a failed write is a usage error
+    with _cache(args.cache_dir, parser) as cache:
         table = build_table(args.kind, args.max_n, args.max_m, args.max_r, cache)
-    except OSError as exc:
-        if cache is None:
-            raise
-        _cache_error(args.cache_dir, exc, parser)
     sys.stdout.write(render(table, args.fmt))
     return 0
 
@@ -85,15 +83,10 @@ def cmd_verify(args, parser) -> int:
     order = (14 if args.level == "full" else 8) if args.max_n is None else args.max_n
     if order < 0:
         parser.error("--max-n must be >= 0")
-    cache = _open_cache(args.cache_dir, parser)
-    if cache is not None:
-        # screen the cached entry of every default table at this order;
-        # the cache logs its own repairs
-        try:
+    if args.cache_dir:  # screen every default table's cached entry; the cache logs its repairs
+        with _cache(args.cache_dir, parser) as cache:
             for kind in TABLE_KINDS:
                 build_table(kind, order, cache=cache)
-        except OSError as exc:
-            _cache_error(args.cache_dir, exc, parser)
     report = strata.verify_all(order)
     if report.passed:
         print(report)

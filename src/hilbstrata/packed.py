@@ -109,28 +109,26 @@ def chi_at_one(m: int, order: int) -> tuple[int, ...]:
     """chi(B^[n]_m) = sum_{k>=m} (-1)^{k-m} C(k, m) R_k(n)|_{t=1} for n <= order:
     the matrix pipeline's inversion at t = 1, where every B and X column
     equals it; zero past mu_max(order)."""
-    out = [0] * (order + 1)
-    for k, row in enumerate(nested_rows_at_one(order)[m - 1:], m):
-        c = -comb(k, m) if (k - m) % 2 else comb(k, m)
-        out = [a + c * r for a, r in zip(out, row)]
-    return tuple(out)
+    return _sum_at_one(m, order, -1)
 
 
 @lru_cache(maxsize=None)
 def digit_bits(order: int) -> int:
-    """K: one bit more than max_{m,n} sum_k C(k, m) R_k(n)|_{t=1}, which
-    bounds every coefficient of every B and X column (strata's module
-    docstring has the proof); past mu_max(order) every R_k and every
-    column vanish to the order."""
-    rows = nested_rows_at_one(order)
-    bound = 0
-    for m in range(1, len(rows) + 1):
-        column = [0] * (order + 1)
-        for k, row in enumerate(rows[m - 1:], m):
-            c = comb(k, m)
-            column = [a + c * r for a, r in zip(column, row)]
-        bound = max(bound, *column)
+    """K: one bit more than max_{m,n} sum_k C(k, m) R_k(n)|_{t=1}, chi_at_one's
+    sum without the signs, which bounds every coefficient of every B and X
+    column (strata's module docstring has the proof); past mu_max(order)
+    every R_k and every column vanish to the order."""
+    bound = max(max(_sum_at_one(m, order, 1)) for m in range(1, mu_max(order) + 1))
     return bound.bit_length() + 1
+
+
+def _sum_at_one(m: int, order: int, sign: int) -> tuple[int, ...]:
+    """sum_{k>=m} sign^{k-m} C(k, m) R_k(n)|_{t=1} for n <= order."""
+    out = [0] * (order + 1)
+    for k, row in enumerate(nested_rows_at_one(order)[m - 1:], m):
+        c = sign ** (k - m) * comb(k, m)
+        out = [a + c * r for a, r in zip(out, row)]
+    return tuple(out)
 
 
 def unpack(v: int, k_bits: int) -> LaurentPoly:

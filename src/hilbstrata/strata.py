@@ -76,7 +76,8 @@ compare each cell as p(2^K) == q(2^K), K two bits above the larger l1
 norm bound of the two sides, read off the operands themselves
 (_width), which makes the comparison exact.  R_0..R_4 are checked
 against the fixed-point sums, and chi_series, which reads the guard's
-plain-int table, against the fixed-point census.
+plain-int table, against the fixed-point census.  The suite is one table
+of (name, cells) entries, the series-against-series checks series_cells.
 """
 
 from __future__ import annotations
@@ -446,56 +447,42 @@ def verify_all(order: int) -> VerificationReport:
     the partition-census sums with the rows of R for r <= min(mu_max(order), 4)
     (R_0 = series_H among them) and C(r, 2) <= n <= order, so no cell it
     compares vanishes by construction.  A check that compares no cell fails.
+
+    The suite is one table of (name, cells) entries, run in order; cells
+    takes no argument and builds what only its check reads.  A new check is
+    one entry, a fault-matrix case it fails and a row in README's fault table.
     """
-    checks: list[CheckResult] = []
-
-    def run(name: str, comparisons: Iterable[Comparison]):
-        checks.append(CheckResult.compare(name, comparisons))
-
     if order < 0:
         raise ValueError("order must be >= 0")
-    identity_order = min(max(order, 8), 12)
     top = mu_max(order)  # always >= 1
     r_ser = StrataMatrix({r: qseries.series_Hnnr(r, order) for r in range(top + 1)})
     x = compute_X(order)
     b = compute_B(order)
-
-    # the q-binomial theorem the inversion and the closed forms rest on,
-    # and the y0 table's builder against the matrix pipeline's row m = 1
-    run("Cauchy q-binomial theorem", _cauchy_cells(identity_order))
-    run("y0 == X_1 (punctured plane)", series_cells([], qseries.series_Y0(order), x.rows[1]))
-
-    # Grassmannian-bundle and convolution relations
-    run("R == G.X (Grassmannian fibers)", grassmannian_cells(r_ser, x))
-    run("X == B.A (origin/punctured split)", convolution_cells(x, b, order))
-
-    # closed forms against the matrix pipeline
-    run("closed forms == matrix pipeline", chain.from_iterable(
-        series_cells([kind, m], closed_form(m, order), family.rows[m])
-        for kind, closed_form, family in (("B", closed_form_B, b), ("X", closed_form_X, x))
-        for m in family.rows
-    ))
-
-    # fixed points against R, for the rows r <= 4 that reach the order,
-    # from n = C(r, 2) on: below it both sides vanish by construction
-    run("fixed-point sums == product series", (
-        ([r, n], e_poly_Hnnr_fixed(n, r), r_ser.get(r, n))
-        for r in range(min(top, 4) + 1) for n in range(comb(r, 2), order + 1)
-    ))
-
-    # chi against the census (each B cell at t = 1 is chi, or _decode raised)
-    def chi_cells():
-        for m in range(1, top + 1):
-            chi = chi_series(m, order)
-            for n in range(order + 1):
-                yield [m, n], chi.coeff(n), LaurentPoly.const(count_partitions_with_mu(n, m))
-
-    run("chi == fixed-point census", chi_cells())
-
-    # B's column sums against the census (X's are R == G.X's row r = 0)
-    run("sum_m B[m][n] == partition census", (
-        ([n], sum((b.get(m, n) for m in b.rows), ZERO), e_poly_Bnnr_fixed(n, 0))
-        for n in range(order + 1)
-    ))
-
-    return VerificationReport(order, checks)
+    checks = (
+        # the q-binomial theorem the inversion and the closed forms rest on,
+        # and the y0 table's builder against the matrix pipeline's row m = 1
+        ("Cauchy q-binomial theorem", lambda: _cauchy_cells(min(max(order, 8), 12))),
+        ("y0 == X_1 (punctured plane)",
+         lambda: series_cells([], qseries.series_Y0(order), x.rows[1])),
+        # Grassmannian-bundle and convolution relations
+        ("R == G.X (Grassmannian fibers)", lambda: grassmannian_cells(r_ser, x)),
+        ("X == B.A (origin/punctured split)", lambda: convolution_cells(x, b, order)),
+        ("closed forms == matrix pipeline", lambda: chain.from_iterable(
+            series_cells([kind, m], closed_form(m, order), family.rows[m])
+            for kind, closed_form, family in (("B", closed_form_B, b), ("X", closed_form_X, x))
+            for m in family.rows)),
+        ("fixed-point sums == product series", lambda: (
+            ([r, n], e_poly_Hnnr_fixed(n, r), r_ser.get(r, n))
+            for r in range(min(top, 4) + 1) for n in range(comb(r, 2), order + 1))),
+        # chi against the census (each B cell at t = 1 is chi, or _decode raised)
+        ("chi == fixed-point census", lambda: chain.from_iterable(
+            series_cells([m], chi_series(m, order), QSeries(
+                [LaurentPoly.const(count_partitions_with_mu(n, m)) for n in range(order + 1)]))
+            for m in range(1, top + 1))),
+        # B's column sums against the census (X's are R == G.X's row r = 0)
+        ("sum_m B[m][n] == partition census", lambda: series_cells(
+            [], QSeries([sum((b.get(m, n) for m in b.rows), ZERO) for n in range(order + 1)]),
+            QSeries([e_poly_Bnnr_fixed(n, 0) for n in range(order + 1)]))),
+    )
+    return VerificationReport(
+        order, [CheckResult.compare(name, cells()) for name, cells in checks])

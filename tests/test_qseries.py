@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly
 from hilbstrata import qseries
 from hilbstrata.cache import SeriesCache, decode_row, encode_row
+from hilbstrata.diagrams import e_poly_Bnnr_fixed
 from hilbstrata.tables import build_table
 from hilbstrata.qseries import (
     NotInvertibleError,
@@ -326,6 +327,12 @@ class TestNamedSeries:
         s = series_poincare_H(10)
         assert s.coeff(1) == ONE
         assert s.coeff(2) == P("1+t")
+
+    def test_poincare_series_is_the_partition_census(self):
+        # by conjugation, sum_l t^{n - len(l)} = sum_l t^{n - l_1} over l |- n
+        s = series_poincare_H(60)
+        for n in range(61):
+            assert s.coeff(n) == e_poly_Bnnr_fixed(n, 0), n
 
     def test_factorization_through_punctured_plane(self):
         order = 12

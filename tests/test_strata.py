@@ -794,6 +794,22 @@ class TestVerifyAll:
         assert cells["Cauchy q-binomial theorem"] == identity_order * (identity_order + 1) // 2
         assert cells["y0 == X_1 (punctured plane)"] == order + 1
 
+    @pytest.mark.parametrize("order", [*range(21), 48])
+    def test_cell_counts_follow_their_formulas(self, order):
+        top, size = mu_max(order), min(max(order, 8), 12)
+        cells = {c.name: c.cells_compared for c in verify_all(order).checks}
+        assert list(cells.items()) == [
+            ("Cauchy q-binomial theorem", size * (size + 1) // 2),
+            ("y0 == X_1 (punctured plane)", order + 1),
+            ("R == G.X (Grassmannian fibers)", (top + 1) * (order + 1)),
+            ("X == B.A (origin/punctured split)", top * (order + 1)),
+            ("closed forms == matrix pipeline", 2 * top * (order + 1)),
+            ("fixed-point sums == product series",
+             sum(order + 1 - comb(r, 2) for r in range(min(top, 4) + 1))),
+            ("chi == fixed-point census", top * (order + 1)),
+            ("sum_m B[m][n] == partition census", order + 1),
+        ]
+
     def test_report_serializes(self):
         report = verify_all(4)
         obj = report.to_json()

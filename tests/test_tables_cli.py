@@ -665,6 +665,34 @@ class TestInProcessCli:
             f"{os.strerror(errno.EACCES)}")
         assert list(tmp_path.iterdir()) == []  # the temp file is gone too
 
+    def test_build_oserror_without_cache_dir_propagates(self, monkeypatch):
+        # only a cache directory turns an OSError into a usage error
+        def fail(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.delenv("HILBSTRATA_CACHE_DIR", raising=False)
+        monkeypatch.setattr(cli, "build_table", fail)
+        with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+            cli.main(["table", "bm", "--max-n", "4"])
+
+    @pytest.mark.parametrize("argv", [["table", "y0", "--max-n", "4"], ["verify", "--max-n", "2"]],
+                             ids=["table", "verify"])
+    def test_stdout_error_with_cache_dir_is_not_a_cache_error(self, tmp_path, monkeypatch,
+                                                              capsys, argv):
+        # the mapping wraps the cached build only, never the write to stdout
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        with pytest.raises(BrokenPipeError):
+            cli.main(argv + ["--cache-dir", str(tmp_path)])
+        assert "cannot use the cache directory" not in capsys.readouterr().err
+        assert list(tmp_path.glob("*.json"))  # the cached build did run
+
     def test_cache_dir_env_read_per_call(self, tmp_path, monkeypatch, capsys):
         # set after hilbstrata.cli was imported, then unset again
         env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
