@@ -43,7 +43,6 @@ from .diagrams import (
 )
 from .strata import (
     StrataMatrix,
-    VerificationReport,
     chi_series,
     closed_form_B,
     closed_form_X,
@@ -51,6 +50,7 @@ from .strata import (
     compute_X,
     verify_all,
 )
+from .verify import VerificationReport
 
 __version__ = "0.1.0"
 

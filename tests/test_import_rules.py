@@ -7,12 +7,15 @@ checked on the source with ast.
     _closed_form, never the closed forms' internals (t_column, gauss_at,
     distinct_parts), and otherwise only the shared digit_bits, unpack
     and chi_at_one.
-(c) No function of the verify suite names packed or the matrix
-    pipeline's kernel (_div_one_minus, _invert_nested): the suite
-    compares the routes' outputs and never reuses their arithmetic.
-(d) The check of Cauchy's q-binomial theorem (_cauchy_cells) names
-    neither packed nor laurent._q_pascal_row, the recurrence that builds
-    the Gaussian binomials it checks.
+(c) The verify suite compares the routes' outputs and never reuses
+    their arithmetic: verify, which holds its comparisons, imports
+    nothing from packed or strata, and neither verify nor
+    strata.verify_all, its table of checks, names packed or the matrix
+    pipeline's kernel (_div_one_minus, _invert_nested).
+(d) The check of Cauchy's q-binomial theorem (verify._cauchy_cells)
+    names neither packed nor laurent._q_pascal_row, the recurrence that
+    builds the Gaussian binomials it checks, and strata, whose routes
+    never read a Gaussian binomial, imports no gauss_binomial.
 """
 
 import ast
@@ -22,9 +25,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hilbstrata"
 
 SHARED = {"digit_bits", "unpack", "chi_at_one"}
 CLOSED_FORM_INTERNALS = {"t_column", "gauss_at", "distinct_parts"}
-SUITE = ["_cauchy_cells", "grassmannian_cells", "convolution_cells",
-         "_times_factor", "series_cells", "_at", "_norm",
-         "_low", "_width", "verify_all"]
 ROUTE_NAMES = {"packed", "_div_one_minus", "_invert_nested"}
 
 
@@ -62,11 +62,14 @@ def packed_reads(tree):
     return out
 
 
+def imports_from(module, banned):
+    """The imports of module that reach one of the banned modules."""
+    return [(source, name) for source, name in imported_modules(parse(module))
+            if source.split(".")[0] in banned or (not source and name in banned)]
+
+
 def test_packed_imports_neither_strata_nor_qseries():
-    banned = {"strata", "qseries"}
-    found = [(module, name) for module, name in imported_modules(parse("packed"))
-             if module.split(".")[0] in banned or (not module and name in banned)]
-    assert found == []
+    assert imports_from("packed", {"strata", "qseries"}) == []
 
 
 def test_strata_reads_packed_only_through_its_shared_names():
@@ -86,15 +89,24 @@ def names_in(node):
             | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)})
 
 
-def test_verify_suite_names_no_route_kernel():
-    defined = functions(parse("strata"))
-    assert [name for name in SUITE if name not in defined] == []
-    named = {name: sorted(names_in(defined[name])) for name in SUITE}
-    assert {name: [n for n in names if n in ROUTE_NAMES] for name, names in named.items()
-            if ROUTE_NAMES & set(names)} == {}
+def test_verify_imports_neither_packed_nor_strata():
+    assert imports_from("verify", {"packed", "strata"}) == []
+
+
+def test_verify_names_no_route_kernel():
+    assert names_in(parse("verify")) & ROUTE_NAMES == set()
+
+
+def test_verify_all_names_no_route_kernel():
+    assert names_in(functions(parse("strata"))["verify_all"]) & ROUTE_NAMES == set()
 
 
 def test_cauchy_check_shares_no_recurrence_with_its_kernel():
-    named = names_in(functions(parse("strata"))["_cauchy_cells"])
+    named = names_in(functions(parse("verify"))["_cauchy_cells"])
     assert "gauss_binomial" in named
     assert named & {"packed", "_q_pascal_row"} == set()
+
+
+def test_strata_imports_no_gauss_binomial():
+    assert [(module, name) for module, name in imported_modules(parse("strata"))
+            if name == "gauss_binomial"] == []

@@ -8,20 +8,22 @@ import pytest
 from hilbstrata.diagrams import (
     count_partitions_with_mu, e_poly_Bnnr_fixed, e_poly_Hnnr_fixed, mu_max, partitions_of)
 from hilbstrata.laurent import ONE, ZERO, LaurentPoly, gauss_binomial
-from hilbstrata import laurent, packed, qseries, strata
+from hilbstrata import laurent, packed, qseries, strata, verify
 from hilbstrata.qseries import QSeries, series_H, series_Hnnr, series_Y0
 from hilbstrata.strata import (
-    CheckResult,
     StrataMatrix,
-    VerificationReport,
     chi_series,
     closed_form_B,
     closed_form_X,
     compute_B,
     compute_X,
+    verify_all,
+)
+from hilbstrata.verify import (
+    CheckResult,
+    VerificationReport,
     convolution_cells,
     grassmannian_cells,
-    verify_all,
 )
 from hilbstrata.tables import TABLE_KINDS, build_table
 
@@ -248,7 +250,6 @@ class TestGaussInversion:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(LaurentPoly, name, forbidden)
         monkeypatch.setattr(QSeries, "__mul__", forbidden)
-        monkeypatch.setattr(strata, "gauss_binomial", forbidden)
         monkeypatch.setattr(laurent, "gauss_binomial", forbidden)
         assert (compute_X(order), compute_B(order)) == want
 
@@ -487,19 +488,19 @@ class TestCauchy:
 
     @staticmethod
     def corrupt_4_2(monkeypatch, extra):
-        true_gauss = strata.gauss_binomial
-        monkeypatch.setattr(strata, "gauss_binomial", lambda m, a: true_gauss(m, a) + (
+        true_gauss = verify.gauss_binomial
+        monkeypatch.setattr(verify, "gauss_binomial", lambda m, a: true_gauss(m, a) + (
             P(extra) if (m, a) == (4, 2) else ZERO))
 
     def test_m1_both_sides(self):
         assert cauchy_coefficients(1) == [ONE, ONE]
-        cells = list(strata._cauchy_cells(1))
+        cells = list(verify._cauchy_cells(1))
         assert [where for where, _, _ in cells] == [[1, 1]]
         assert not mismatches(cells)
 
     def test_examples(self):
         assert cauchy_coefficients(3) == [ONE, P("1+t+t^2"), P("t+t^2+t^3"), P("t^3")]
-        cells = list(strata._cauchy_cells(3))
+        cells = list(verify._cauchy_cells(3))
         assert [where for where, _, _ in cells] == [
             [1, 1], [2, 2], [2, 1], [3, 3], [3, 2], [3, 1]]
         assert not mismatches(cells)
@@ -508,14 +509,14 @@ class TestCauchy:
         # every cell at size 12, both sides unpacked at the check's own K,
         # against the oracle's expansion
         widths = []
-        true_width = strata._width
+        true_width = verify._width
 
         def recorded(*bounds):
             widths.append(true_width(*bounds))
             return widths[-1]
 
-        monkeypatch.setattr(strata, "_width", recorded)
-        cells = list(strata._cauchy_cells(12))
+        monkeypatch.setattr(verify, "_width", recorded)
+        cells = list(verify._cauchy_cells(12))
         k_bits, = widths
         assert len(cells) == 12 * 13 // 2
         for (m, r), got, want in cells:
@@ -526,14 +527,14 @@ class TestCauchy:
     def test_false_identity_is_rejected(self, monkeypatch):
         # one Gaussian binomial off by t^5 - t, which is 0 at t = 1
         self.corrupt_4_2(monkeypatch, "t^5-t")
-        assert mismatches(strata._cauchy_cells(12)) == [[4, 2]]
-        assert mismatches(strata._cauchy_cells(3)) == []
+        assert mismatches(verify._cauchy_cells(12)) == [[4, 2]]
+        assert mismatches(verify._cauchy_cells(3)) == []
 
     def test_negative_exponent_fault_is_rejected(self, monkeypatch):
         # t^-1 - 1 shifts both sides of every cell by t (_low)
         self.corrupt_4_2(monkeypatch, "t^-1-1")
-        assert mismatches(strata._cauchy_cells(12)) == [[4, 2]]
-        assert mismatches(strata._cauchy_cells(8)) == [[4, 2]]
+        assert mismatches(verify._cauchy_cells(12)) == [[4, 2]]
+        assert mismatches(verify._cauchy_cells(8)) == [[4, 2]]
 
 
 class TestChi:
@@ -666,13 +667,13 @@ class TestVerifyAll:
 
     def test_corrupted_gauss_binomial_fails_its_checks(self, monkeypatch):
         # + t^5 - t keeps [4, 2] at t = 1; the routes never read gauss_binomial
-        true_gauss = strata.gauss_binomial
+        true_gauss = verify.gauss_binomial
 
         def corrupted(m, a):
             g = true_gauss(m, a)
             return g + P("t^5-t") if (m, a) == (4, 2) else g
 
-        monkeypatch.setattr(strata, "gauss_binomial", corrupted)
+        monkeypatch.setattr(verify, "gauss_binomial", corrupted)
         report = verify_all(6)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"Cauchy q-binomial theorem", "R == G.X (Grassmannian fibers)"}
@@ -680,14 +681,14 @@ class TestVerifyAll:
     def test_evaluation_fault_is_caught(self, monkeypatch):
         # the three product checks share one evaluation at t = 2^K: with its
         # top term dropped, each of them must fail
-        true_at = strata._at
+        true_at = verify._at
 
         def drop_top(p, k_bits, shift=0):
             if p:
                 p = p - LaurentPoly.t_power(p.degree(), p.coeff(p.degree()))
             return true_at(p, k_bits, shift)
 
-        monkeypatch.setattr(strata, "_at", drop_top)
+        monkeypatch.setattr(verify, "_at", drop_top)
         report = verify_all(14)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"Cauchy q-binomial theorem", "R == G.X (Grassmannian fibers)",
