@@ -481,6 +481,49 @@ class TestPackedKernel:
         assert "closed forms == matrix pipeline" not in failed
 
 
+class TestLeadingTerms:
+    """Every stratum's top term, observed to n = 200 and not proven here:
+    with s = n - C(m, 2) and p(s, <= k) the partitions of s into parts
+    <= k (p(s, <= 0) = [s = 0]), E(B^[n]_m) tops out at p(s, <= m-1) t^s,
+    and is zero when that count is, and E(H^[n]_m) at t^{2s}.  It sees
+    faults that move a cell's degree or top coefficient, which the t = 1
+    guard cannot."""
+
+    @staticmethod
+    def partitions_with_parts_at_most(k, order):
+        """[p(s, <= k) for s <= order], adding one part size at a time."""
+        counts = [1] + [0] * order
+        for part in range(1, k + 1):
+            for s in range(part, order + 1):
+                counts[s] += counts[s - part]
+        return counts
+
+    @staticmethod
+    def top(cell):
+        return LaurentPoly.t_power(cell.degree(), cell.coeff(cell.degree())) if cell else ZERO
+
+    def test_top_terms_to_order_200(self):
+        order = 200
+        b, x = compute_B(order), compute_X(order)
+        cells, wrong = 0, []
+        for m in range(1, mu_max(order) + 1):
+            p = self.partitions_with_parts_at_most(m - 1, order)
+            for n in range(comb(m, 2), order + 1):
+                s = n - comb(m, 2)
+                for kind, cell, want in (("B", b.get(m, n), LaurentPoly.t_power(s, p[s])),
+                                         ("X", x.get(m, n), LaurentPoly.t_power(2 * s))):
+                    cells += 1
+                    if self.top(cell) != want:
+                        wrong.append((kind, m, n))
+        assert wrong == []
+        assert cells == 5380
+
+    def test_partition_counts(self):
+        assert self.partitions_with_parts_at_most(0, 3) == [1, 0, 0, 0]
+        assert self.partitions_with_parts_at_most(2, 6) == [1, 1, 2, 2, 3, 3, 4]
+        assert self.partitions_with_parts_at_most(30, 30)[30] == 5604
+
+
 class TestCauchy:
     """Cauchy's q-binomial theorem, prod_{i<m} (1 + t^i y) =
     sum_r t^C(r,2) gauss(m, r) y^r, holds in LaurentPoly arithmetic, and
