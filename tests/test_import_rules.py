@@ -93,7 +93,7 @@ def test_verify_imports_neither_packed_nor_strata():
     assert imports_from("verify", {"packed", "strata"}) == []
 
 
-def test_verify_names_no_route_kernel():
+def test_verify_suite_names_no_route_kernel():
     assert names_in(parse("verify")) & ROUTE_NAMES == set()
 
 
